@@ -451,40 +451,13 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
         }
       }
     }
-    // With a shared DiscoveryCache, seed the run-local cache with the
-    // entries previous runs already scored and only precompute the misses;
-    // freshly-scored entries are published back afterwards. Entries are
-    // deterministic in (model, KG), so a warm-cache run ranks against
-    // exactly the scores a cold run would compute.
     SideScoreCache score_cache;
-    DiscoveryCache* const shared = options.shared_cache;
-    std::vector<SideScoreCache::Key> fresh_subject_keys;
-    std::vector<SideScoreCache::Key> fresh_object_keys;
-    const std::vector<SideScoreCache::Key>* precompute_subject_keys =
-        &subject_keys;
-    const std::vector<SideScoreCache::Key>* precompute_object_keys =
-        &object_keys;
-    if (shared != nullptr) {
-      shared->FetchObjects(subject_keys, options.filtered_ranking,
-                           &score_cache, &fresh_subject_keys);
-      shared->FetchSubjects(object_keys, options.filtered_ranking,
-                            &score_cache, &fresh_object_keys);
-      precompute_subject_keys = &fresh_subject_keys;
-      precompute_object_keys = &fresh_object_keys;
-    }
-    score_cache.PrecomputeObjects(model, kg, *precompute_subject_keys,
+    score_cache.PrecomputeObjects(model, kg, subject_keys,
                                   options.filtered_ranking, pool,
                                   &run_cancel);
-    score_cache.PrecomputeSubjects(model, kg, *precompute_object_keys,
+    score_cache.PrecomputeSubjects(model, kg, object_keys,
                                    options.filtered_ranking, pool,
                                    &run_cancel);
-    if (shared != nullptr) {
-      // Publish skips keys a cancelled precompute never scored.
-      shared->PublishObjects(fresh_subject_keys, options.filtered_ranking,
-                             score_cache);
-      shared->PublishSubjects(fresh_object_keys, options.filtered_ranking,
-                              score_cache);
-    }
     // Pre-ranking checkpoint; also covers a stop during precompute, whose
     // partially-built cache must never be dereferenced below.
     if (checkpoint_stop()) return;
@@ -711,7 +684,7 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
 
       // Ranking: identical mechanics to the fixed-strategy path, restricted
       // to this round's candidates. Only keys the relation cache has never
-      // seen are (fetched and) precomputed.
+      // seen are precomputed.
       ScopedSpan ranking_span(metrics, kDiscoveryRankingSpan);
       const size_t n_cand = round_candidates.size();
       std::vector<SideScoreCache::Key> need_subject_keys;
@@ -731,33 +704,12 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
         }
       }
       unique_entries += need_subject_keys.size() + need_object_keys.size();
-      DiscoveryCache* const shared = options.shared_cache;
-      std::vector<SideScoreCache::Key> fresh_subject_keys;
-      std::vector<SideScoreCache::Key> fresh_object_keys;
-      const std::vector<SideScoreCache::Key>* precompute_subject_keys =
-          &need_subject_keys;
-      const std::vector<SideScoreCache::Key>* precompute_object_keys =
-          &need_object_keys;
-      if (shared != nullptr) {
-        shared->FetchObjects(need_subject_keys, options.filtered_ranking,
-                             &score_cache, &fresh_subject_keys);
-        shared->FetchSubjects(need_object_keys, options.filtered_ranking,
-                              &score_cache, &fresh_object_keys);
-        precompute_subject_keys = &fresh_subject_keys;
-        precompute_object_keys = &fresh_object_keys;
-      }
-      score_cache.PrecomputeObjects(model, kg, *precompute_subject_keys,
+      score_cache.PrecomputeObjects(model, kg, need_subject_keys,
                                     options.filtered_ranking, pool,
                                     &run_cancel);
-      score_cache.PrecomputeSubjects(model, kg, *precompute_object_keys,
+      score_cache.PrecomputeSubjects(model, kg, need_object_keys,
                                      options.filtered_ranking, pool,
                                      &run_cancel);
-      if (shared != nullptr) {
-        shared->PublishObjects(fresh_subject_keys, options.filtered_ranking,
-                               score_cache);
-        shared->PublishSubjects(fresh_object_keys, options.filtered_ranking,
-                                score_cache);
-      }
       if (checkpoint_stop()) return;  // pre-ranking / post-precompute
       std::vector<double> subject_ranks(n_cand);
       std::vector<double> object_ranks(n_cand);

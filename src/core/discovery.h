@@ -113,7 +113,7 @@ struct DiscoveryOptions {
   /// mesh-grid would overflow or allocate absurdly; exceeding it fails fast
   /// with InvalidArgument before anything is allocated.
   size_t max_candidate_memory_bytes = size_t{1} << 30;  // 1 GiB
-  /// Cross-run cache of strategy weights and side-score entries (see
+  /// Cross-run cache of strategy weights and the MODEL_SCORE sketch (see
   /// core/discovery_cache.h). Must belong to the same (model, KG) pair as
   /// this run — the owner keys caches by model/KG fingerprint. Because every
   /// cached artifact is a deterministic function of (model, KG), a run with

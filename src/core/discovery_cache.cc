@@ -9,8 +9,6 @@ DiscoveryCache::DiscoveryCache(MetricsRegistry* metrics) {
   if (metrics != nullptr) {
     weights_hits_ = metrics->GetCounter(kSharedWeightsHitsCounter);
     weights_misses_ = metrics->GetCounter(kSharedWeightsMissesCounter);
-    scores_hits_ = metrics->GetCounter(kSharedScoresHitsCounter);
-    scores_misses_ = metrics->GetCounter(kSharedScoresMissesCounter);
     sketch_hits_ = metrics->GetCounter(kSketchHitsCounter);
     sketch_misses_ = metrics->GetCounter(kSketchMissesCounter);
   }
@@ -68,103 +66,9 @@ DiscoveryCache::GetOrComputeModelScoreWeights(const Model& model,
   return shared;
 }
 
-size_t DiscoveryCache::Fetch(const std::vector<SideScoreCache::Key>& keys,
-                             bool filtered, bool object_side,
-                             SideScoreCache* local,
-                             std::vector<SideScoreCache::Key>* missing) {
-  // Collect the shared_ptrs under the lock, copy entry payloads outside it:
-  // entries are immutable once published, so the copies cannot race later
-  // inserts, and the lock is never held across an O(|E|) memcpy.
-  std::vector<std::pair<SideScoreCache::Key,
-                        std::shared_ptr<const SideScoreCache::Entry>>>
-      hits;
-  hits.reserve(keys.size());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const ScoreMap& map = scores_[object_side ? 1 : 0][filtered ? 1 : 0];
-    for (const SideScoreCache::Key& key : keys) {
-      auto it = map.find(PackKey(key));
-      if (it != map.end()) {
-        hits.emplace_back(key, it->second);
-      } else if (missing != nullptr) {
-        missing->push_back(key);
-      }
-    }
-  }
-  for (const auto& [key, entry] : hits) {
-    if (object_side) {
-      local->InsertObjects(key.first, key.second, *entry);
-    } else {
-      local->InsertSubjects(key.second, key.first, *entry);
-    }
-  }
-  scores_hits_n_.fetch_add(hits.size(), std::memory_order_relaxed);
-  if (scores_hits_ != nullptr && !hits.empty()) {
-    scores_hits_->Increment(hits.size());
-  }
-  const size_t misses = keys.size() - hits.size();
-  if (scores_misses_ != nullptr && misses > 0) {
-    scores_misses_->Increment(misses);
-  }
-  return hits.size();
-}
-
-void DiscoveryCache::Publish(const std::vector<SideScoreCache::Key>& keys,
-                             bool filtered, bool object_side,
-                             const SideScoreCache& local) {
-  // Copy outside the lock, insert the finished shared_ptrs under it.
-  std::vector<std::pair<uint64_t,
-                        std::shared_ptr<const SideScoreCache::Entry>>>
-      ready;
-  ready.reserve(keys.size());
-  for (const SideScoreCache::Key& key : keys) {
-    const SideScoreCache::Entry* entry =
-        object_side ? local.FindObjects(key.first, key.second)
-                    : local.FindSubjects(key.second, key.first);
-    if (entry == nullptr) continue;  // cancelled before this key was scored
-    ready.emplace_back(PackKey(key),
-                       std::make_shared<SideScoreCache::Entry>(*entry));
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  ScoreMap& map = scores_[object_side ? 1 : 0][filtered ? 1 : 0];
-  for (auto& [packed, entry] : ready) {
-    map.emplace(packed, std::move(entry));  // first writer wins
-  }
-}
-
-size_t DiscoveryCache::FetchObjects(
-    const std::vector<SideScoreCache::Key>& keys, bool filtered,
-    SideScoreCache* local, std::vector<SideScoreCache::Key>* missing) {
-  return Fetch(keys, filtered, /*object_side=*/true, local, missing);
-}
-
-size_t DiscoveryCache::FetchSubjects(
-    const std::vector<SideScoreCache::Key>& keys, bool filtered,
-    SideScoreCache* local, std::vector<SideScoreCache::Key>* missing) {
-  return Fetch(keys, filtered, /*object_side=*/false, local, missing);
-}
-
-void DiscoveryCache::PublishObjects(
-    const std::vector<SideScoreCache::Key>& keys, bool filtered,
-    const SideScoreCache& local) {
-  Publish(keys, filtered, /*object_side=*/true, local);
-}
-
-void DiscoveryCache::PublishSubjects(
-    const std::vector<SideScoreCache::Key>& keys, bool filtered,
-    const SideScoreCache& local) {
-  Publish(keys, filtered, /*object_side=*/false, local);
-}
-
 size_t DiscoveryCache::num_weight_entries() const {
   std::lock_guard<std::mutex> lock(mu_);
   return weights_.size();
-}
-
-size_t DiscoveryCache::num_score_entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return scores_[0][0].size() + scores_[0][1].size() + scores_[1][0].size() +
-         scores_[1][1].size();
 }
 
 }  // namespace kgfd

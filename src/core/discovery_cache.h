@@ -6,9 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
-#include "core/side_score_cache.h"
 #include "core/strategy.h"
 #include "kg/triple_store.h"
 #include "util/alias_sampler.h"
@@ -16,17 +14,21 @@
 
 namespace kgfd {
 
-class MetricsRegistry;
 class Counter;
+class MetricsRegistry;
+class Model;
 
 /// Metric names recorded when a DiscoveryCache is constructed with a
 /// registry. Weight hits count relations served from a cached strategy
-/// computation; score hits/misses count side-score entries served from /
-/// absent in the cross-run store.
+/// computation.
 inline constexpr char kSharedWeightsHitsCounter[] =
     "discovery.shared_weights.hits";
 inline constexpr char kSharedWeightsMissesCounter[] =
     "discovery.shared_weights.misses";
+/// Side-score entries served from / absent in a cross-run score store.
+/// No such store exists (every run scores its own keys), so these counters
+/// are no longer recorded; the names stay because perfbench/perfbench.cc
+/// reads them.
 inline constexpr char kSharedScoresHitsCounter[] =
     "discovery.shared_scores.hits";
 inline constexpr char kSharedScoresMissesCounter[] =
@@ -36,27 +38,25 @@ inline constexpr char kSharedScoresMissesCounter[] =
 inline constexpr char kSketchHitsCounter[] = "discovery.sketch.hits";
 inline constexpr char kSketchMissesCounter[] = "discovery.sketch.misses";
 
-/// Cross-run cache of the two most expensive reusable artifacts of
-/// DiscoverFacts:
+/// Cross-run cache of the reusable sampling state of DiscoverFacts:
+/// strategy weights — ComputeStrategyWeights output, or the MODEL_SCORE
+/// sketch, plus the built alias samplers — keyed by strategy.
 ///
-///  * strategy weights — ComputeStrategyWeights output plus the built alias
-///    samplers, keyed by strategy (weights depend only on the KG);
-///  * side-score entries — full ScoreObjects/ScoreSubjects passes, keyed by
-///    (entity, relation, filtered protocol), exactly the SideScoreCache
-///    entries a discovery run computes per relation.
-///
-/// Both artifacts are deterministic functions of (model, KG), so serving
-/// them from cache leaves discovered facts bit-identical to a cold run —
-/// the discovery server relies on this to keep HTTP job output
-/// byte-identical to kgfd_cli while amortizing work across requests.
+/// Weights are deterministic functions of (model, KG), so serving them from
+/// cache leaves discovered facts bit-identical to a cold run — the
+/// discovery server relies on this to keep HTTP job output byte-identical
+/// to kgfd_cli while amortizing work across requests. Side scores are not
+/// cached here: each run precomputes its own keys into a run-local
+/// SideScoreCache, so a long-lived cache holds O(strategies x |E|) and
+/// server memory stays bounded by the running job.
 ///
 /// An instance is only valid for a FIXED (model, KG) pair. The owner (the
 /// server's job manager) keys instances by the model/KG fingerprint of
 /// core/resume.h (HashModelParameters + graph shape) and must never share
 /// one across fingerprints; DiscoverFacts trusts the pairing.
 ///
-/// All methods are thread-safe; entries are immutable once published, so
-/// fetched shared_ptrs stay valid without holding any lock.
+/// All methods are thread-safe; entries are immutable once computed, so
+/// returned shared_ptrs stay valid without holding any lock.
 class DiscoveryCache {
  public:
   /// When `metrics` is non-null, hit/miss counters (names above) are
@@ -86,59 +86,18 @@ class DiscoveryCache {
   Result<std::shared_ptr<const WeightsEntry>> GetOrComputeModelScoreWeights(
       const Model& model, const TripleStore& kg);
 
-  /// Copies cached object-side entries for `keys` into `local` and appends
-  /// the keys without a cached entry to `missing` (preserving `keys`
-  /// order). Returns the number of hits.
-  size_t FetchObjects(const std::vector<SideScoreCache::Key>& keys,
-                      bool filtered, SideScoreCache* local,
-                      std::vector<SideScoreCache::Key>* missing);
-  /// Subject-side counterpart ((object, relation) keys).
-  size_t FetchSubjects(const std::vector<SideScoreCache::Key>& keys,
-                       bool filtered, SideScoreCache* local,
-                       std::vector<SideScoreCache::Key>* missing);
-
-  /// Copies `local`'s entries for `keys` into the store. First writer wins;
-  /// keys without a local entry (a cancelled precompute) are skipped.
-  void PublishObjects(const std::vector<SideScoreCache::Key>& keys,
-                      bool filtered, const SideScoreCache& local);
-  void PublishSubjects(const std::vector<SideScoreCache::Key>& keys,
-                       bool filtered, const SideScoreCache& local);
-
   size_t num_weight_entries() const;
-  size_t num_score_entries() const;
   uint64_t weights_hits() const { return weights_hits_n_; }
-  uint64_t scores_hits() const { return scores_hits_n_; }
 
  private:
-  using ScoreMap =
-      std::unordered_map<uint64_t,
-                         std::shared_ptr<const SideScoreCache::Entry>>;
-
-  static uint64_t PackKey(const SideScoreCache::Key& key) {
-    return (static_cast<uint64_t>(key.second) << 32) |
-           static_cast<uint64_t>(key.first);
-  }
-
-  size_t Fetch(const std::vector<SideScoreCache::Key>& keys, bool filtered,
-               bool object_side, SideScoreCache* local,
-               std::vector<SideScoreCache::Key>* missing);
-  void Publish(const std::vector<SideScoreCache::Key>& keys, bool filtered,
-               bool object_side, const SideScoreCache& local);
-
   mutable std::mutex mu_;
   std::unordered_map<int, std::shared_ptr<const WeightsEntry>> weights_;
-  /// Indexed [object_side][filtered]: the filtered protocol changes an
-  /// entry's `excluded` mask, so the two protocols never share entries.
-  ScoreMap scores_[2][2];
 
   Counter* weights_hits_ = nullptr;
   Counter* weights_misses_ = nullptr;
-  Counter* scores_hits_ = nullptr;
-  Counter* scores_misses_ = nullptr;
   Counter* sketch_hits_ = nullptr;
   Counter* sketch_misses_ = nullptr;
   std::atomic<uint64_t> weights_hits_n_{0};
-  std::atomic<uint64_t> scores_hits_n_{0};
 };
 
 }  // namespace kgfd

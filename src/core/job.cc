@@ -21,16 +21,13 @@ Result<JobSpec> JobSpec::FromConfig(const ConfigFile& config) {
                         ModelKindFromName(config.GetString(
                             "model.type", ModelKindName(spec.model))));
   KGFD_ASSIGN_OR_RETURN(
-      const int64_t dim,
-      config.GetInt("model.dim", static_cast<int64_t>(spec.embedding_dim)));
-  spec.embedding_dim = static_cast<size_t>(dim);
+      spec.embedding_dim,
+      GetPositiveSize(config, "model.dim", spec.embedding_dim));
 
-  KGFD_ASSIGN_OR_RETURN(const int64_t epochs,
-                        config.GetInt("train.epochs", 25));
-  spec.trainer.epochs = static_cast<size_t>(epochs);
-  KGFD_ASSIGN_OR_RETURN(const int64_t batch,
-                        config.GetInt("train.batch_size", 128));
-  spec.trainer.batch_size = static_cast<size_t>(batch);
+  KGFD_ASSIGN_OR_RETURN(spec.trainer.epochs,
+                        GetPositiveSize(config, "train.epochs", 25));
+  KGFD_ASSIGN_OR_RETURN(spec.trainer.batch_size,
+                        GetPositiveSize(config, "train.batch_size", 128));
   KGFD_ASSIGN_OR_RETURN(spec.trainer.optimizer.learning_rate,
                         config.GetDouble("train.lr", 0.03));
   const std::string default_loss =
@@ -38,9 +35,8 @@ Result<JobSpec> JobSpec::FromConfig(const ConfigFile& config) {
   KGFD_ASSIGN_OR_RETURN(
       spec.trainer.loss,
       LossKindFromName(config.GetString("train.loss", default_loss)));
-  KGFD_ASSIGN_OR_RETURN(const int64_t negatives,
-                        config.GetInt("train.negatives", 2));
-  spec.trainer.negatives_per_positive = static_cast<size_t>(negatives);
+  KGFD_ASSIGN_OR_RETURN(spec.trainer.negatives_per_positive,
+                        GetPositiveSize(config, "train.negatives", 2));
   const std::string mode =
       config.GetString("train.mode", "negative_sampling");
   if (mode == "negative_sampling") {
@@ -65,33 +61,21 @@ Result<JobSpec> JobSpec::FromConfig(const ConfigFile& config) {
       SamplingStrategyFromName(config.GetString(
           "discovery.strategy",
           SamplingStrategyName(DefaultSamplingStrategy()))));
-  KGFD_ASSIGN_OR_RETURN(const int64_t top_n,
-                        config.GetInt("discovery.top_n", 500));
-  spec.discovery.top_n = static_cast<size_t>(top_n);
-  KGFD_ASSIGN_OR_RETURN(const int64_t max_candidates,
-                        config.GetInt("discovery.max_candidates", 500));
-  spec.discovery.max_candidates = static_cast<size_t>(max_candidates);
+  KGFD_ASSIGN_OR_RETURN(spec.discovery.top_n,
+                        GetPositiveSize(config, "discovery.top_n", 500));
+  KGFD_ASSIGN_OR_RETURN(
+      spec.discovery.max_candidates,
+      GetPositiveSize(config, "discovery.max_candidates", 500));
   KGFD_ASSIGN_OR_RETURN(spec.discovery.type_filter,
                         config.GetBool("discovery.type_filter", false));
   KGFD_ASSIGN_OR_RETURN(
-      const int64_t max_cand_mem,
-      config.GetInt("discovery.max_candidate_memory_bytes",
-                    static_cast<int64_t>(
-                        spec.discovery.max_candidate_memory_bytes)));
-  if (max_cand_mem <= 0) {
-    return Status::InvalidArgument(
-        "discovery.max_candidate_memory_bytes must be > 0");
-  }
-  spec.discovery.max_candidate_memory_bytes =
-      static_cast<size_t>(max_cand_mem);
+      spec.discovery.max_candidate_memory_bytes,
+      GetPositiveSize(config, "discovery.max_candidate_memory_bytes",
+                      spec.discovery.max_candidate_memory_bytes));
   KGFD_ASSIGN_OR_RETURN(
-      const int64_t adaptive_rounds,
-      config.GetInt("discovery.adaptive_rounds",
-                    static_cast<int64_t>(spec.discovery.adaptive_rounds)));
-  if (adaptive_rounds <= 0) {
-    return Status::InvalidArgument("discovery.adaptive_rounds must be > 0");
-  }
-  spec.discovery.adaptive_rounds = static_cast<size_t>(adaptive_rounds);
+      spec.discovery.adaptive_rounds,
+      GetPositiveSize(config, "discovery.adaptive_rounds",
+                      spec.discovery.adaptive_rounds));
   KGFD_ASSIGN_OR_RETURN(spec.discovery.adaptive_exploration,
                         config.GetDouble("discovery.adaptive_exploration",
                                          spec.discovery.adaptive_exploration));

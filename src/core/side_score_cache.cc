@@ -193,14 +193,6 @@ const SideScoreCache::Entry* SideScoreCache::FindSubjects(RelationId r,
   return it == by_object_.end() ? nullptr : &it->second;
 }
 
-void SideScoreCache::InsertObjects(EntityId s, RelationId r, Entry entry) {
-  by_subject_.emplace(PackKey(s, r), std::move(entry));
-}
-
-void SideScoreCache::InsertSubjects(RelationId r, EntityId o, Entry entry) {
-  by_object_.emplace(PackKey(o, r), std::move(entry));
-}
-
 void SideScoreCache::Clear() {
   by_subject_.clear();
   by_object_.clear();

@@ -71,12 +71,6 @@ class SideScoreCache {
   const Entry* FindObjects(EntityId s, RelationId r) const;
   const Entry* FindSubjects(RelationId r, EntityId o) const;
 
-  /// Inserts an already-computed entry, keeping the existing one on key
-  /// collision. Seam for DiscoveryCache to seed a run-local cache with
-  /// cross-run entries before Precompute* fills the remaining keys.
-  void InsertObjects(EntityId s, RelationId r, Entry entry);
-  void InsertSubjects(RelationId r, EntityId o, Entry entry);
-
   void Clear();
 
   /// On-demand lookup accounting (Precompute* counts neither).

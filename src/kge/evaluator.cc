@@ -1,6 +1,7 @@
 #include "kge/evaluator.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -33,6 +34,22 @@ double RankAgainstScores(const std::vector<double>& scores, size_t target,
   const double target_score = scores[target];
   size_t greater = 0;
   size_t ties = 0;
+  if (std::isnan(target_score)) {
+    // A NaN target ranks last: every competitor beats it except other
+    // NaNs, which tie. Kept out of the loop below, where NaN compares false
+    // both ways and a NaN target would otherwise rank 1.
+    for (size_t i = 0; i < scores.size(); ++i) {
+      if (i == target) continue;
+      if (excluded != nullptr && (*excluded)[i] != 0) continue;
+      if (std::isnan(scores[i])) {
+        ++ties;
+      } else {
+        ++greater;
+      }
+    }
+    return 1.0 + static_cast<double>(greater) +
+           static_cast<double>(ties) / 2.0;
+  }
   for (size_t i = 0; i < scores.size(); ++i) {
     if (i == target) continue;
     if (excluded != nullptr && (*excluded)[i] != 0) continue;

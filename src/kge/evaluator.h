@@ -27,7 +27,9 @@ LinkPredictionMetrics MetricsFromRanks(const std::vector<double>& ranks);
 ///   rank = 1 + |greater| + |ties| / 2.
 /// `excluded[i] != 0` removes entry i from the corruption pool (the target
 /// itself is never counted as its own corruption). This is the tie handling
-/// of LibKGE ("rank mean").
+/// of LibKGE ("rank mean"). NaN scores rank last: a NaN competitor never
+/// beats or ties a non-NaN target, and a NaN target is beaten by every
+/// non-NaN competitor (±Inf included) and ties the other NaNs.
 double RankAgainstScores(const std::vector<double>& scores, size_t target,
                          const std::vector<char>* excluded);
 

@@ -25,7 +25,6 @@
 #include "kg/io.h"             // IWYU pragma: export
 #include "kg/kg_stats.h"       // IWYU pragma: export
 #include "kg/leakage.h"        // IWYU pragma: export
-#include "kg/relation_stats.h" // IWYU pragma: export
 #include "kg/synthetic.h"      // IWYU pragma: export
 #include "kg/triple_store.h"   // IWYU pragma: export
 #include "kg/types.h"          // IWYU pragma: export

@@ -45,21 +45,6 @@ Status EnsureDirectory(const std::string& path) {
   return Status::OK();
 }
 
-/// Reads a strictly positive size from the config (GetInt yields int64, so
-/// negatives must be rejected before the size_t cast silently wraps).
-Result<size_t> GetPositiveSize(const ConfigFile& config,
-                               const std::string& key,
-                               size_t default_value) {
-  KGFD_ASSIGN_OR_RETURN(
-      const int64_t raw,
-      config.GetInt(key, static_cast<int64_t>(default_value)));
-  if (raw <= 0) {
-    return Status::InvalidArgument(key + " must be positive, got " +
-                                   std::to_string(raw));
-  }
-  return static_cast<size_t>(raw);
-}
-
 int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())

@@ -146,11 +146,14 @@ struct JobStatus {
 ///    path pair (server.model_cache.* counters), so repeat jobs skip disk;
 ///  * each distinct model/KG *fingerprint* (HashModelParameters + graph
 ///    shape, the same identity core/resume.h manifests pin) owns one
-///    DiscoveryCache holding strategy weights and side-score entries, so a
-///    second job over the same model reuses prior scoring work
-///    (discovery.shared_* counters). Fingerprint keying means two
-///    checkpoint files with identical parameters share a cache, and a
-///    retrained model can never be served another model's scores.
+///    DiscoveryCache holding strategy weights and the MODEL_SCORE sketch,
+///    so a second job over the same model skips those computations
+///    (discovery.shared_weights.* / discovery.sketch.* counters).
+///    Fingerprint keying means two checkpoint files with identical
+///    parameters share a cache, and a retrained model can never be served
+///    another model's sketch. Side scores are not shared: each job scores
+///    its own keys in run-local caches, so memory stays bounded by the
+///    running job.
 ///
 /// Every discover job runs through DiscoverFactsResumable with a per-job
 /// manifest under Options::work_dir: GET /jobs/<id> progress comes from the

@@ -105,4 +105,20 @@ std::vector<std::string> ConfigFile::UnconsumedKeys() const {
   return out;
 }
 
+Result<size_t> ToPositiveSize(const std::string& key, int64_t raw) {
+  if (raw <= 0) {
+    return Status::InvalidArgument(key + " must be positive, got " +
+                                   std::to_string(raw));
+  }
+  return static_cast<size_t>(raw);
+}
+
+Result<size_t> GetPositiveSize(const ConfigFile& config,
+                               const std::string& key, size_t default_value) {
+  KGFD_ASSIGN_OR_RETURN(
+      const int64_t raw,
+      config.GetInt(key, static_cast<int64_t>(default_value)));
+  return ToPositiveSize(key, raw);
+}
+
 }  // namespace kgfd

@@ -41,6 +41,15 @@ class ConfigFile {
   mutable std::map<std::string, bool> consumed_;
 };
 
+/// Returns `raw` as a size_t when it is strictly positive, else
+/// InvalidArgument naming `key`. Counts are read as int64, and a bare
+/// static_cast would turn -1 into SIZE_MAX.
+Result<size_t> ToPositiveSize(const std::string& key, int64_t raw);
+
+/// Reads a strictly positive count from `config` (ToPositiveSize of GetInt).
+Result<size_t> GetPositiveSize(const ConfigFile& config,
+                               const std::string& key, size_t default_value);
+
 }  // namespace kgfd
 
 #endif  // KGFD_UTIL_CONFIG_FILE_H_

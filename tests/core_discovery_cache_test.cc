@@ -48,14 +48,6 @@ const Fixture& SharedFixture() {
   return *fixture;
 }
 
-SideScoreCache::Entry MakeEntry(double base, size_t n) {
-  SideScoreCache::Entry entry;
-  entry.scores.resize(n);
-  entry.excluded.assign(n, 0);
-  for (size_t i = 0; i < n; ++i) entry.scores[i] = base + i;
-  return entry;
-}
-
 TEST(DiscoveryCacheTest, WeightsComputedOnceAndShared) {
   const Fixture& f = SharedFixture();
   MetricsRegistry metrics;
@@ -83,88 +75,6 @@ TEST(DiscoveryCacheTest, WeightsComputedOnceAndShared) {
   EXPECT_EQ(cache.num_weight_entries(), 2u);
 }
 
-TEST(DiscoveryCacheTest, FetchPublishRoundTripsEntries) {
-  DiscoveryCache cache;
-  SideScoreCache producer;
-  producer.InsertObjects(3, 1, MakeEntry(10.0, 5));
-  producer.InsertObjects(4, 1, MakeEntry(20.0, 5));
-
-  const std::vector<SideScoreCache::Key> keys = {{3, 1}, {4, 1}};
-  cache.PublishObjects(keys, /*filtered=*/true, producer);
-  EXPECT_EQ(cache.num_score_entries(), 2u);
-
-  SideScoreCache consumer;
-  std::vector<SideScoreCache::Key> missing;
-  const size_t hits =
-      cache.FetchObjects({{3, 1}, {4, 1}, {5, 1}}, /*filtered=*/true,
-                         &consumer, &missing);
-  EXPECT_EQ(hits, 2u);
-  ASSERT_EQ(missing.size(), 1u);
-  EXPECT_EQ(missing[0].first, 5u);
-
-  const SideScoreCache::Entry* entry = consumer.FindObjects(3, 1);
-  ASSERT_NE(entry, nullptr);
-  ASSERT_EQ(entry->scores.size(), 5u);
-  EXPECT_DOUBLE_EQ(entry->scores[0], 10.0);
-  EXPECT_DOUBLE_EQ(entry->scores[4], 14.0);
-  EXPECT_EQ(consumer.FindObjects(5, 1), nullptr);
-}
-
-TEST(DiscoveryCacheTest, FilteredProtocolsNeverShareEntries) {
-  // The `excluded` mask of an entry depends on the ranking protocol, so a
-  // filtered run must never be served an unfiltered entry (or vice versa).
-  DiscoveryCache cache;
-  SideScoreCache producer;
-  producer.InsertObjects(3, 1, MakeEntry(10.0, 5));
-  cache.PublishObjects({{3, 1}}, /*filtered=*/true, producer);
-
-  SideScoreCache consumer;
-  std::vector<SideScoreCache::Key> missing;
-  EXPECT_EQ(cache.FetchObjects({{3, 1}}, /*filtered=*/false, &consumer,
-                               &missing),
-            0u);
-  EXPECT_EQ(missing.size(), 1u);
-}
-
-TEST(DiscoveryCacheTest, SidesNeverShareEntries) {
-  // (e=3, r=1) object-side and subject-side are different score passes.
-  DiscoveryCache cache;
-  SideScoreCache producer;
-  producer.InsertObjects(3, 1, MakeEntry(10.0, 5));
-  cache.PublishObjects({{3, 1}}, /*filtered=*/true, producer);
-
-  SideScoreCache consumer;
-  std::vector<SideScoreCache::Key> missing;
-  EXPECT_EQ(cache.FetchSubjects({{3, 1}}, /*filtered=*/true, &consumer,
-                                &missing),
-            0u);
-}
-
-TEST(DiscoveryCacheTest, FirstPublishWins) {
-  DiscoveryCache cache;
-  SideScoreCache first;
-  first.InsertObjects(3, 1, MakeEntry(10.0, 3));
-  cache.PublishObjects({{3, 1}}, true, first);
-  SideScoreCache second;
-  second.InsertObjects(3, 1, MakeEntry(99.0, 3));
-  cache.PublishObjects({{3, 1}}, true, second);
-  EXPECT_EQ(cache.num_score_entries(), 1u);
-
-  SideScoreCache consumer;
-  std::vector<SideScoreCache::Key> missing;
-  cache.FetchObjects({{3, 1}}, true, &consumer, &missing);
-  EXPECT_DOUBLE_EQ(consumer.FindObjects(3, 1)->scores[0], 10.0);
-}
-
-TEST(DiscoveryCacheTest, PublishSkipsKeysWithoutLocalEntry) {
-  // A cancelled precompute leaves requested keys without entries; publish
-  // must skip them rather than store empties.
-  DiscoveryCache cache;
-  SideScoreCache local;
-  cache.PublishObjects({{7, 2}}, true, local);
-  EXPECT_EQ(cache.num_score_entries(), 0u);
-}
-
 bool SameFacts(const std::vector<DiscoveredFact>& a,
                const std::vector<DiscoveredFact>& b) {
   if (a.size() != b.size()) return false;
@@ -179,8 +89,8 @@ bool SameFacts(const std::vector<DiscoveredFact>& a,
 
 TEST(DiscoveryCacheTest, WarmCacheRunIsBitIdenticalToColdRun) {
   // The serving contract: a second job over the same (model, KG) served
-  // from a warm cache must produce bit-identical facts — cached scores are
-  // copies of the exact doubles a cold run computes.
+  // from a warm cache must produce bit-identical facts — cached weights and
+  // samplers are the exact ones a cold run builds.
   const Fixture& f = SharedFixture();
   DiscoveryOptions options;
   options.top_n = 25;
@@ -197,15 +107,15 @@ TEST(DiscoveryCacheTest, WarmCacheRunIsBitIdenticalToColdRun) {
   const auto warming = DiscoverFacts(*f.model, f.dataset.train(), options);
   ASSERT_TRUE(warming.ok());
   EXPECT_TRUE(SameFacts(warming.value().facts, cold.value().facts));
-  EXPECT_GT(cache.num_score_entries(), 0u);
+  EXPECT_EQ(metrics.GetCounter(kSharedWeightsHitsCounter)->value(), 0u);
+  EXPECT_EQ(metrics.GetCounter(kSharedWeightsMissesCounter)->value(), 1u);
 
   const auto warm = DiscoverFacts(*f.model, f.dataset.train(), options);
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(SameFacts(warm.value().facts, cold.value().facts));
-  // The warm run was fully cache-served: every side-score lookup hit.
-  EXPECT_GT(cache.scores_hits(), 0u);
-  EXPECT_EQ(metrics.GetCounter(kSharedScoresHitsCounter)->value(),
-            metrics.GetCounter(kSharedScoresMissesCounter)->value());
+  // The warm run's weights were cache-served: one hit, no new miss.
+  EXPECT_EQ(metrics.GetCounter(kSharedWeightsHitsCounter)->value(), 1u);
+  EXPECT_EQ(metrics.GetCounter(kSharedWeightsMissesCounter)->value(), 1u);
 }
 
 }  // namespace

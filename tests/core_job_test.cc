@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/config_file.h"
 
 namespace kgfd {
@@ -44,6 +46,23 @@ TEST(ConfigFileTest, TypedGettersValidate) {
   EXPECT_TRUE(config.value().GetBool("flag", false).value());
   EXPECT_FALSE(config.value().GetInt("bad", 0).ok());
   EXPECT_FALSE(config.value().GetBool("bad", false).ok());
+}
+
+TEST(ConfigFileTest, PositiveSizeRejectsZeroAndNegatives) {
+  auto config = ConfigFile::Parse("zero = 0\nneg = -1\nok = 3\nbad = x\n");
+  ASSERT_TRUE(config.ok());
+  EXPECT_EQ(GetPositiveSize(config.value(), "ok", 1).value(), 3u);
+  EXPECT_EQ(GetPositiveSize(config.value(), "missing", 9).value(), 9u);
+  // -1 must not wrap to SIZE_MAX through the size_t cast.
+  auto neg = GetPositiveSize(config.value(), "neg", 1);
+  ASSERT_FALSE(neg.ok());
+  EXPECT_EQ(neg.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(neg.status().message().find("neg"), std::string::npos);
+  EXPECT_FALSE(GetPositiveSize(config.value(), "zero", 1).ok());
+  EXPECT_FALSE(GetPositiveSize(config.value(), "bad", 1).ok());
+  EXPECT_FALSE(ToPositiveSize("--dim", -1).ok());
+  EXPECT_FALSE(ToPositiveSize("--dim", 0).ok());
+  EXPECT_EQ(ToPositiveSize("--dim", 16).value(), 16u);
 }
 
 TEST(ConfigFileTest, DefaultsForMissingKeys) {
@@ -125,6 +144,26 @@ TEST(JobSpecTest, RejectsBadEnumValues) {
   auto bad_mode = ConfigFile::Parse("train.mode = all_vs_all\n");
   ASSERT_TRUE(bad_mode.ok());
   EXPECT_FALSE(JobSpec::FromConfig(bad_mode.value()).ok());
+}
+
+TEST(JobSpecTest, RejectsNonPositiveCounts) {
+  // Each of these keys is a count: -1 used to wrap to SIZE_MAX and 0 to
+  // an empty model/run.
+  for (const char* key :
+       {"model.dim", "train.epochs", "train.batch_size", "train.negatives",
+        "discovery.top_n", "discovery.max_candidates",
+        "discovery.adaptive_rounds",
+        "discovery.max_candidate_memory_bytes"}) {
+    for (const char* value : {"-1", "0"}) {
+      auto config =
+          ConfigFile::Parse(std::string(key) + " = " + value + "\n");
+      ASSERT_TRUE(config.ok());
+      auto spec = JobSpec::FromConfig(config.value());
+      EXPECT_FALSE(spec.ok()) << key << " = " << value;
+      EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument)
+          << key << " = " << value;
+    }
+  }
 }
 
 TEST(JobRunTest, RejectsUnknownPreset) {

@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <fstream>
 
-#include "kg/relation_stats.h"
-
 namespace kgfd {
 namespace {
 
@@ -74,48 +72,6 @@ TEST(FactsTsvTest, ReadRejectsMalformedRows) {
 TEST(FactsTsvTest, MissingFileIsIoError) {
   Vocabulary e, r;
   EXPECT_FALSE(ReadFactsTsv("/no/such/facts.tsv", &e, &r).ok());
-}
-
-TEST(RelationStatsTest, CardinalityClasses) {
-  TripleStore store(12, 4);
-  // r0: 1-1 (distinct pairs).
-  ASSERT_TRUE(store.AddAll({{0, 0, 1}, {2, 0, 3}}).ok());
-  // r1: 1-N (head 0 fans out).
-  ASSERT_TRUE(store.AddAll({{0, 1, 1}, {0, 1, 2}, {0, 1, 3}}).ok());
-  // r2: N-1 (tail 5 fans in).
-  ASSERT_TRUE(store.AddAll({{1, 2, 5}, {2, 2, 5}, {3, 2, 5}}).ok());
-  // r3: N-N.
-  ASSERT_TRUE(store.AddAll({{0, 3, 1}, {0, 3, 2}, {1, 3, 1}, {1, 3, 2}})
-                  .ok());
-  const auto stats = ComputeRelationStats(store);
-  ASSERT_EQ(stats.size(), 4u);
-  EXPECT_EQ(stats[0].Cardinality(), "1-1");
-  EXPECT_EQ(stats[1].Cardinality(), "1-N");
-  EXPECT_EQ(stats[2].Cardinality(), "N-1");
-  EXPECT_EQ(stats[3].Cardinality(), "N-N");
-}
-
-TEST(RelationStatsTest, CountsAndMeans) {
-  TripleStore store(6, 2);
-  ASSERT_TRUE(store.AddAll({{0, 0, 1}, {0, 0, 2}, {3, 0, 2}}).ok());
-  const auto stats = ComputeRelationStats(store);
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_EQ(stats[0].relation, 0u);
-  EXPECT_EQ(stats[0].num_triples, 3u);
-  EXPECT_EQ(stats[0].distinct_subjects, 2u);
-  EXPECT_EQ(stats[0].distinct_objects, 2u);
-  // tph: head 0 -> {1,2}, head 3 -> {2}: (2+1)/2 = 1.5.
-  EXPECT_DOUBLE_EQ(stats[0].tails_per_head, 1.5);
-  // hpt: tail 1 -> {0}, tail 2 -> {0,3}: (1+2)/2 = 1.5.
-  EXPECT_DOUBLE_EQ(stats[0].heads_per_tail, 1.5);
-}
-
-TEST(RelationStatsTest, SkipsUnusedRelations) {
-  TripleStore store(4, 5);
-  ASSERT_TRUE(store.Add({0, 2, 1}).ok());
-  const auto stats = ComputeRelationStats(store);
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_EQ(stats[0].relation, 2u);
 }
 
 }  // namespace

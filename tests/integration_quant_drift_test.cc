@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -87,7 +88,14 @@ class QuantDriftTest : public ::testing::Test {
     tc.seed = 99;
     auto model = TrainModel(ModelKind::kTransE, mc, dataset_->train(), tc);
     ASSERT_TRUE(model.ok()) << model.status().ToString();
-    float_path_ = ::testing::TempDir() + "/kgfd_drift_float.bin";
+    // ctest runs each test as its own process, concurrently under -j, so
+    // scratch checkpoints are keyed by test name + pid: a shared path let
+    // one test's TearDown delete the file another test was loading.
+    tag_ = std::string(::testing::UnitTest::GetInstance()
+                           ->current_test_info()
+                           ->name()) +
+           "_" + std::to_string(::getpid());
+    float_path_ = ::testing::TempDir() + "/kgfd_drift_float_" + tag_ + ".bin";
     ASSERT_TRUE(SaveModel(model.value().get(), mc, float_path_).ok());
   }
   void TearDown() override { std::remove(float_path_.c_str()); }
@@ -108,7 +116,7 @@ class QuantDriftTest : public ::testing::Test {
   };
   QuantRun RunQuantized(EmbeddingDtype dtype) {
     const std::string qpath = ::testing::TempDir() + "/kgfd_drift_" +
-                              EmbeddingDtypeName(dtype) + ".bin";
+                              EmbeddingDtypeName(dtype) + "_" + tag_ + ".bin";
     auto loaded =
         LoadModelWithConfig(float_path_, CheckpointLoadOptions());
     EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -130,6 +138,7 @@ class QuantDriftTest : public ::testing::Test {
   }
 
   std::unique_ptr<Dataset> dataset_;
+  std::string tag_;
   std::string float_path_;
 };
 
@@ -189,7 +198,7 @@ TEST_F(QuantDriftTest, QuantizedDriftWithinPinnedThresholds) {
 
 TEST_F(QuantDriftTest, QuantizedMmapDiscoveryMatchesQuantizedRam) {
   const std::string qpath =
-      ::testing::TempDir() + "/kgfd_drift_mmap_int8.bin";
+      ::testing::TempDir() + "/kgfd_drift_mmap_int8_" + tag_ + ".bin";
   auto loaded = LoadModelWithConfig(float_path_, CheckpointLoadOptions());
   ASSERT_TRUE(loaded.ok());
   ASSERT_TRUE(SaveQuantizedModel(loaded.value().model.get(),

@@ -222,21 +222,13 @@ TEST_F(ServerTest, SecondIdenticalJobIsServedFromSharedCaches) {
   StartServer();
   const std::string first = SubmitJob(JobConfig());
   ASSERT_EQ(AwaitTerminal(first), "done");
-  const uint64_t misses_after_first =
-      MetricsCounter("discovery.shared_scores.misses");
-  EXPECT_GT(misses_after_first, 0u);
-  EXPECT_EQ(MetricsCounter("discovery.shared_scores.hits"), 0u);
   EXPECT_EQ(MetricsCounter("server.model_cache.misses"), 1u);
 
   const std::string second = SubmitJob(JobConfig());
   ASSERT_EQ(AwaitTerminal(second), "done");
 
-  // Same model + KG + options: the rerun is fully cache-served — every
-  // side-score lookup hits, no new misses, the model loads from memory.
-  EXPECT_EQ(MetricsCounter("discovery.shared_scores.hits"),
-            misses_after_first);
-  EXPECT_EQ(MetricsCounter("discovery.shared_scores.misses"),
-            misses_after_first);
+  // Same model + KG + options: the rerun serves its strategy weights from
+  // the fingerprint's DiscoveryCache and its model from memory.
   EXPECT_GE(MetricsCounter("discovery.shared_weights.hits"), 1u);
   EXPECT_EQ(MetricsCounter("server.model_cache.hits"), 1u);
   EXPECT_EQ(MetricsCounter("server.model_cache.misses"), 1u);

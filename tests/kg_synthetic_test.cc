@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <unordered_set>
 
 #include "graph/adjacency.h"
@@ -9,6 +10,16 @@
 #include "kg/kg_stats.h"
 
 namespace kgfd {
+
+// gtest's default printer dumps a parameter's raw bytes, which include the
+// `name` string's heap pointer, into every PresetTest name. Printing the
+// preset name keeps the registered test names stable across builds. Lives
+// in namespace kgfd (not the unnamed one) so argument-dependent lookup
+// finds it.
+void PrintTo(const SyntheticConfig& config, std::ostream* os) {
+  *os << config.name;
+}
+
 namespace {
 
 TEST(SyntheticTest, RejectsDegenerateConfigs) {

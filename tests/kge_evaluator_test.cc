@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "kge/trainer.h"
 #include "util/rng.h"
@@ -50,6 +52,48 @@ TEST(RankAgainstScoresTest, ExclusionRemovesCompetitors) {
 
 TEST(RankAgainstScoresTest, TargetNeverCompetesWithItself) {
   EXPECT_DOUBLE_EQ(RankAgainstScores({7.0}, 0, nullptr), 1.0);
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(RankAgainstScoresTest, NanTargetRanksLast) {
+  // Every finite competitor beats a NaN target: rank = 1 + 3 greater.
+  EXPECT_DOUBLE_EQ(RankAgainstScores({1.0, kNaN, -2.0, 0.5}, 1, nullptr),
+                   4.0);
+  // Alone, a NaN target is still rank 1.
+  EXPECT_DOUBLE_EQ(RankAgainstScores({kNaN}, 0, nullptr), 1.0);
+}
+
+TEST(RankAgainstScoresTest, NanTargetTiesOtherNans) {
+  // 1 finite greater + 2 NaN ties: rank = 1 + 1 + 2/2 = 3.
+  EXPECT_DOUBLE_EQ(RankAgainstScores({kNaN, 3.0, kNaN, kNaN}, 0, nullptr),
+                   3.0);
+}
+
+TEST(RankAgainstScoresTest, NanCompetitorsNeverBeatTarget) {
+  EXPECT_DOUBLE_EQ(RankAgainstScores({kNaN, -5.0, kNaN}, 1, nullptr), 1.0);
+  EXPECT_DOUBLE_EQ(RankAgainstScores({kNaN, -5.0, 0.0, kNaN}, 1, nullptr),
+                   2.0);
+}
+
+TEST(RankAgainstScoresTest, InfinitiesOrderAndTie) {
+  const std::vector<double> scores = {kInf, 0.0, -kInf, kInf, kNaN};
+  EXPECT_DOUBLE_EQ(RankAgainstScores(scores, 0, nullptr), 1.5);
+  EXPECT_DOUBLE_EQ(RankAgainstScores(scores, 1, nullptr), 3.0);
+  EXPECT_DOUBLE_EQ(RankAgainstScores(scores, 2, nullptr), 4.0);
+  // A NaN target is beaten by -Inf too.
+  EXPECT_DOUBLE_EQ(RankAgainstScores(scores, 4, nullptr), 5.0);
+}
+
+TEST(RankAgainstScoresTest, NanTargetRespectsExclusion) {
+  const std::vector<double> scores = {2.0, kNaN, kNaN, -1.0, 4.0};
+  // Excluding entity 0 (finite) and entity 2 (NaN) leaves 2 finite
+  // competitors: rank = 1 + 2.
+  std::vector<char> excluded = {1, 0, 1, 0, 0};
+  EXPECT_DOUBLE_EQ(RankAgainstScores(scores, 1, &excluded), 3.0);
+  // Nothing excluded: 3 greater + 1 NaN tie = 4.5.
+  EXPECT_DOUBLE_EQ(RankAgainstScores(scores, 1, nullptr), 4.5);
 }
 
 /// A deterministic stub model whose score is a fixed function of ids, for

@@ -25,6 +25,7 @@
 #include <string>
 
 #include "kgfd.h"
+#include "util/config_file.h"
 #include "util/flags.h"
 #include "util/string_util.h"
 #include "util/table.h"
@@ -116,6 +117,17 @@ bool StoppedEarly(const Status& status, const char* what, int* exit_code) {
   return false;
 }
 
+/// Reads a count flag that must be strictly positive; -1 would otherwise
+/// wrap to SIZE_MAX through the size_t cast.
+size_t PositiveFlag(const Flags& flags, const std::string& name,
+                    size_t default_value) {
+  Result<size_t> value = ToPositiveSize(
+      "--" + name,
+      flags.GetInt(name, static_cast<int64_t>(default_value)));
+  value.status().AbortIfNotOk("flag");
+  return value.value();
+}
+
 Result<Dataset> LoadData(const Flags& flags) {
   const std::string dir = flags.GetString("data", "");
   if (dir.empty()) return Status::InvalidArgument("--data is required");
@@ -179,15 +191,12 @@ int Train(const Flags& flags) {
   ModelConfig model_config;
   model_config.num_entities = dataset.value().num_entities();
   model_config.num_relations = dataset.value().num_relations();
-  model_config.embedding_dim =
-      static_cast<size_t>(flags.GetInt("dim", 32));
+  model_config.embedding_dim = PositiveFlag(flags, "dim", 32);
 
   TrainerConfig trainer_config;
-  trainer_config.epochs = static_cast<size_t>(flags.GetInt("epochs", 25));
-  trainer_config.batch_size =
-      static_cast<size_t>(flags.GetInt("batch", 128));
-  trainer_config.negatives_per_positive =
-      static_cast<size_t>(flags.GetInt("negatives", 2));
+  trainer_config.epochs = PositiveFlag(flags, "epochs", 25);
+  trainer_config.batch_size = PositiveFlag(flags, "batch", 128);
+  trainer_config.negatives_per_positive = PositiveFlag(flags, "negatives", 2);
   trainer_config.optimizer.learning_rate = flags.GetDouble("lr", 0.03);
   trainer_config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   trainer_config.log_every_epochs = 5;
@@ -238,7 +247,7 @@ int Tune(const Flags& flags) {
   model_config.num_relations = dataset.value().num_relations();
   model_config.embedding_dim = 32;
   TrainerConfig trainer_config;
-  trainer_config.epochs = static_cast<size_t>(flags.GetInt("epochs", 10));
+  trainer_config.epochs = PositiveFlag(flags, "epochs", 10);
   trainer_config.loss = kind.value() == ModelKind::kTransE
                             ? LossKind::kMarginRanking
                             : LossKind::kSoftplus;
@@ -310,7 +319,10 @@ int Eval(const Flags& flags) {
   table.AddRow({"ranks", Table::Fmt(metrics.value().num_ranks)});
   std::printf("%s", table.ToAscii().c_str());
 
-  const size_t buckets = static_cast<size_t>(flags.GetInt("buckets", 0));
+  // --buckets <= 1 (including negatives) means no stratified table.
+  const int64_t buckets_flag = flags.GetInt("buckets", 0);
+  const size_t buckets =
+      buckets_flag > 1 ? static_cast<size_t>(buckets_flag) : 0;
   if (buckets > 1) {
     auto stratified = EvaluateByPopularity(
         *model.value(), dataset.value(), dataset.value().test(), buckets,
@@ -348,14 +360,12 @@ int Discover(const Flags& flags) {
       "strategy", SamplingStrategyName(DefaultSamplingStrategy())));
   strategy.status().AbortIfNotOk("strategy name");
   options.strategy = strategy.value();
-  options.top_n = static_cast<size_t>(flags.GetInt("top_n", 500));
-  options.max_candidates =
-      static_cast<size_t>(flags.GetInt("max_candidates", 500));
+  options.top_n = PositiveFlag(flags, "top_n", 500);
+  options.max_candidates = PositiveFlag(flags, "max_candidates", 500);
   options.type_filter = flags.GetBool("type_filter", false);
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 123));
-  options.adaptive_rounds = static_cast<size_t>(
-      flags.GetInt("adaptive_rounds",
-                   static_cast<int64_t>(options.adaptive_rounds)));
+  options.adaptive_rounds =
+      PositiveFlag(flags, "adaptive_rounds", options.adaptive_rounds);
   options.adaptive_exploration =
       flags.GetDouble("adaptive_exploration", options.adaptive_exploration);
   options.cancel = MakeCancelContext(flags);
