@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
+#include <string>
 #include <unordered_set>
 
 #include "adaptive/scheduler.h"
-#include "adaptive/score_sketch.h"
 #include "core/discovery_cache.h"
 #include "core/side_score_cache.h"
 #include "core/type_filter.h"
@@ -80,6 +81,140 @@ double Aggregate(RankAggregation agg, double subject_rank,
   return 0.5 * (subject_rank + object_rank);
 }
 
+// The phases of one round of Algorithm 1's relation loop, after line 7
+// (ComputeWeightsEntry): Generate → ScoreSides → Rank → Accept.
+
+/// Lines 8-13: sample mesh-grid subject/object pools from `arm`, skip known
+/// (line 12), type-inadmissible and already-seen triples, until `quota`
+/// candidates or `max_iterations` draws. `seen` spans every round of the
+/// relation, so a round only ever yields triples no earlier round yielded.
+/// The output is a pure function of the RNG stream and `seen`, never of
+/// ranking results, which lets resume replay a round by regenerating it.
+std::vector<Triple> Generate(const DiscoveryCache::WeightsEntry& arm,
+                             RelationId r, size_t quota,
+                             size_t max_iterations, const TripleStore& kg,
+                             const RelationTypeFilter* type_filter, Rng* rng,
+                             std::unordered_set<uint64_t>* seen) {
+  const size_t sample_size = MeshGridSampleSize(quota);
+  std::vector<EntityId> s_samples(sample_size);
+  std::vector<EntityId> o_samples(sample_size);
+  std::vector<Triple> candidates;
+  for (size_t iteration = 0;
+       iteration < max_iterations && candidates.size() < quota;
+       ++iteration) {
+    for (size_t i = 0; i < sample_size; ++i) {
+      s_samples[i] = arm.weights.subject_pool[arm.subject_sampler.Sample(rng)];
+      o_samples[i] = arm.weights.object_pool[arm.object_sampler.Sample(rng)];
+    }
+    for (EntityId s : s_samples) {
+      if (candidates.size() >= quota) break;
+      for (EntityId o : o_samples) {
+        if (candidates.size() >= quota) break;
+        const Triple t{s, r, o};
+        if (kg.Contains(t)) continue;
+        if (type_filter != nullptr && !type_filter->Admissible(t)) continue;
+        if (!seen->insert(PackTriple(t)).second) continue;
+        candidates.push_back(t);
+      }
+    }
+  }
+  // Defensive clamp: the break conditions above already stop at `quota`,
+  // but the downstream rank-slot allocation sizes off this list, so enforce
+  // the invariant here too rather than trust loop structure at a distance.
+  if (candidates.size() > quota) candidates.resize(quota);
+  return candidates;
+}
+
+/// Precomputes the side scores `candidates` rank against: one
+/// ScoreObjects pass per distinct (s, r) and one ScoreSubjects pass per
+/// distinct (r, o), skipping entries `cache` holds from earlier rounds.
+/// Returns the number of entries it scored, i.e. the lookups that miss.
+size_t ScoreSides(const Model& model, const TripleStore& kg, RelationId r,
+                  const std::vector<Triple>& candidates, bool filtered,
+                  ThreadPool* pool, const CancelContext* cancel,
+                  SideScoreCache* cache) {
+  std::vector<SideScoreCache::Key> subject_keys;  // (s, r): object scores
+  std::vector<SideScoreCache::Key> object_keys;   // (o, r): subject scores
+  std::unordered_set<EntityId> seen_subjects;
+  std::unordered_set<EntityId> seen_objects;
+  for (const Triple& t : candidates) {
+    if (seen_subjects.insert(t.subject).second &&
+        cache->FindObjects(t.subject, r) == nullptr) {
+      subject_keys.emplace_back(t.subject, r);
+    }
+    if (seen_objects.insert(t.object).second &&
+        cache->FindSubjects(r, t.object) == nullptr) {
+      object_keys.emplace_back(t.object, r);
+    }
+  }
+  cache->PrecomputeObjects(model, kg, subject_keys, filtered, pool, cancel);
+  cache->PrecomputeSubjects(model, kg, object_keys, filtered, pool, cancel);
+  return subject_keys.size() + object_keys.size();
+}
+
+/// Lines 14-15, first half: each candidate's rank against its object-side
+/// and subject-side corruptions. The per-candidate computations are
+/// independent, so they fan out over `pool` (nested inside the relation
+/// loop, which TaskGroup-scoped waiting makes safe); ranks land in fixed
+/// per-candidate slots, so they are identical for every thread count.
+/// `stop` is the cheap in-loop probe; once it fires, slots may be left
+/// unfilled and the caller abandons the relation.
+template <typename StopProbe>
+void Rank(const SideScoreCache& cache, RelationId r,
+          const std::vector<Triple>& candidates, ThreadPool* pool,
+          const CancelContext* cancel, const StopProbe& stop,
+          std::vector<double>* subject_ranks,
+          std::vector<double>* object_ranks) {
+  subject_ranks->resize(candidates.size());
+  object_ranks->resize(candidates.size());
+  double* const subject_slots = subject_ranks->data();
+  double* const object_slots = object_ranks->data();
+  ParallelFor(
+      pool, candidates.size(),
+      [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          // Per-ranking-chunk granularity on the pool comes from
+          // ParallelFor's claim loop; this probe bounds the *serial* path
+          // (one body call covering all candidates) too.
+          if ((i & 63u) == 0 && stop()) return;
+          const Triple& t = candidates[i];
+          const SideScoreCache::Entry* obj_entry =
+              cache.FindObjects(t.subject, r);
+          object_slots[i] = RankAgainstScores(obj_entry->scores, t.object,
+                                              &obj_entry->excluded);
+          const SideScoreCache::Entry* subj_entry =
+              cache.FindSubjects(r, t.object);
+          subject_slots[i] = RankAgainstScores(subj_entry->scores, t.subject,
+                                               &subj_entry->excluded);
+        }
+      },
+      // Kernel-block granularity: chunks sized in kQueryBlock multiples keep
+      // the per-chunk claim/dispatch overhead amortized over at least 64
+      // candidates and line up with the stop probe's 64-candidate stride.
+      cancel, kernels::kQueryBlock);
+}
+
+/// Lines 14-15, second half: appends the candidates whose aggregated rank
+/// is <= top_n to `facts`, in candidate order.
+void Accept(const std::vector<Triple>& candidates,
+            const std::vector<double>& subject_ranks,
+            const std::vector<double>& object_ranks,
+            RankAggregation aggregation, size_t top_n,
+            std::vector<DiscoveredFact>* facts) {
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const double rank =
+        Aggregate(aggregation, subject_ranks[i], object_ranks[i]);
+    if (rank <= static_cast<double>(top_n)) {
+      DiscoveredFact fact;
+      fact.triple = candidates[i];
+      fact.rank = rank;
+      fact.subject_rank = subject_ranks[i];
+      fact.object_rank = object_ranks[i];
+      facts->push_back(fact);
+    }
+  }
+}
+
 }  // namespace
 
 Status ValidateDiscoveryOptions(const DiscoveryOptions& options,
@@ -144,8 +279,6 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
   // Algorithm 1 line 3: default to every relation present in the KG.
   std::vector<RelationId> relations = options.relations;
   if (relations.empty()) relations = kg.UsedRelations();
-
-  const size_t sample_size = MeshGridSampleSize(options.max_candidates);
 
   WallTimer total_timer;
   MetricsRegistry* const metrics = options.metrics;
@@ -222,98 +355,47 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
   const bool adaptive = options.strategy == SamplingStrategy::kAdaptive;
   const bool model_score = options.strategy == SamplingStrategy::kModelScore;
 
-  // Optional weight-caching ablation: hoist line 7 out of the loop. A
-  // shared DiscoveryCache hoists as well — it already guarantees one
-  // computation per strategy across runs, so the recompute-per-relation
-  // semantics of cache_weights=false would only repeat a cache lookup.
-  // MODEL_SCORE always hoists: its sketch depends only on (model, KG), so a
-  // per-relation recompute would repeat the probe sweep for identical
-  // weights. ADAPTIVE hoists its whole arm set below for the same reason.
-  const bool hoist_weights = options.cache_weights ||
-                             options.shared_cache != nullptr || model_score;
-  StrategyWeights hoisted_weights;
-  AliasSampler hoisted_subject_sampler;
-  AliasSampler hoisted_object_sampler;
-  // Keeps the cache entry alive for the whole sweep when the pointers below
-  // alias into it.
-  std::shared_ptr<const DiscoveryCache::WeightsEntry> shared_weights;
-  const StrategyWeights* hoisted_weights_ptr = &hoisted_weights;
-  const AliasSampler* hoisted_subject_ptr = &hoisted_subject_sampler;
-  const AliasSampler* hoisted_object_ptr = &hoisted_object_sampler;
-  double hoisted_weight_seconds = 0.0;
-  if (!adaptive && options.shared_cache != nullptr) {
-    ScopedSpan weight_span(metrics, kDiscoveryWeightsSpan);
-    KGFD_ASSIGN_OR_RETURN(
-        shared_weights,
-        model_score
-            ? options.shared_cache->GetOrComputeModelScoreWeights(model, kg)
-            : options.shared_cache->GetOrComputeWeights(options.strategy, kg));
-    hoisted_weights_ptr = &shared_weights->weights;
-    hoisted_subject_ptr = &shared_weights->subject_sampler;
-    hoisted_object_ptr = &shared_weights->object_sampler;
-    hoisted_weight_seconds = weight_span.Stop();
-  } else if (!adaptive && (options.cache_weights || model_score)) {
-    ScopedSpan weight_span(metrics, kDiscoveryWeightsSpan);
-    KGFD_ASSIGN_OR_RETURN(hoisted_weights,
-                          model_score
-                              ? ComputeModelScoreWeights(model, kg)
-                              : ComputeStrategyWeights(options.strategy, kg));
-    KGFD_ASSIGN_OR_RETURN(hoisted_subject_sampler,
-                          AliasSampler::Build(hoisted_weights.subject_weights));
-    KGFD_ASSIGN_OR_RETURN(hoisted_object_sampler,
-                          AliasSampler::Build(hoisted_weights.object_weights));
-    hoisted_weight_seconds = weight_span.Stop();
-  }
-
-  // ADAPTIVE: precompute every arm's weights + samplers once per sweep. The
-  // bandit may grant any arm any round, so all six must exist before the
-  // relation loop starts; per-relation recomputes (faithful mode) would
-  // multiply the most expensive metric sweeps by the relation count for
-  // byte-identical results. Pointers are bound in a second loop because
-  // push_back would otherwise move `owned` out from under them.
-  struct ArmState {
-    std::shared_ptr<const DiscoveryCache::WeightsEntry> shared;
-    DiscoveryCache::WeightsEntry owned;
-    const StrategyWeights* weights = nullptr;
-    const AliasSampler* subject_sampler = nullptr;
-    const AliasSampler* object_sampler = nullptr;
-  };
+  // Line 7: compute_weights(strategy) — one WeightsEntry per arm: the six
+  // AdaptiveArmStrategies() under ADAPTIVE, otherwise the one strategy.
+  using ArmSet =
+      std::vector<std::shared_ptr<const DiscoveryCache::WeightsEntry>>;
   const std::vector<SamplingStrategy> arm_strategies =
-      adaptive ? AdaptiveArmStrategies() : std::vector<SamplingStrategy>{};
-  std::vector<ArmState> arms(arm_strategies.size());
-  if (adaptive) {
+      adaptive ? AdaptiveArmStrategies()
+               : std::vector<SamplingStrategy>{options.strategy};
+  auto compute_weights = [&](double* seconds) -> Result<ArmSet> {
     ScopedSpan weight_span(metrics, kDiscoveryWeightsSpan);
-    for (size_t a = 0; a < arm_strategies.size(); ++a) {
-      const SamplingStrategy s = arm_strategies[a];
-      ArmState& arm = arms[a];
+    ArmSet arms;
+    for (SamplingStrategy s : arm_strategies) {
       if (options.shared_cache != nullptr) {
         KGFD_ASSIGN_OR_RETURN(
-            arm.shared,
-            s == SamplingStrategy::kModelScore
-                ? options.shared_cache->GetOrComputeModelScoreWeights(model,
-                                                                      kg)
-                : options.shared_cache->GetOrComputeWeights(s, kg));
+            auto shared, options.shared_cache->GetOrComputeWeights(s, model, kg));
+        arms.push_back(std::move(shared));
       } else {
-        KGFD_ASSIGN_OR_RETURN(arm.owned.weights,
-                              s == SamplingStrategy::kModelScore
-                                  ? ComputeModelScoreWeights(model, kg)
-                                  : ComputeStrategyWeights(s, kg));
-        KGFD_ASSIGN_OR_RETURN(
-            arm.owned.subject_sampler,
-            AliasSampler::Build(arm.owned.weights.subject_weights));
-        KGFD_ASSIGN_OR_RETURN(
-            arm.owned.object_sampler,
-            AliasSampler::Build(arm.owned.weights.object_weights));
+        KGFD_ASSIGN_OR_RETURN(DiscoveryCache::WeightsEntry owned,
+                              ComputeWeightsEntry(s, model, kg));
+        arms.push_back(std::make_shared<const DiscoveryCache::WeightsEntry>(
+            std::move(owned)));
       }
     }
-    for (ArmState& arm : arms) {
-      const DiscoveryCache::WeightsEntry& entry =
-          arm.shared != nullptr ? *arm.shared : arm.owned;
-      arm.weights = &entry.weights;
-      arm.subject_sampler = &entry.subject_sampler;
-      arm.object_sampler = &entry.object_sampler;
-    }
-    hoisted_weight_seconds = weight_span.Stop();
+    *seconds = weight_span.Stop();
+    return arms;
+  };
+
+  // The paper recomputes weights inside the relation loop; they are hoisted
+  // out of it for the weight-caching ablation, for a shared DiscoveryCache
+  // (which already guarantees one computation per strategy across runs, so
+  // a per-relation recompute would only repeat a cache lookup), for
+  // MODEL_SCORE (its sketch depends only on (model, KG), so a recompute
+  // would repeat the probe sweep for identical weights) and for ADAPTIVE
+  // (the bandit may grant any arm any round, and recomputing six arms per
+  // relation would multiply the most expensive sweeps for identical output).
+  const bool hoist_weights = adaptive || options.cache_weights ||
+                             options.shared_cache != nullptr || model_score;
+  ArmSet hoisted_arms;
+  double hoisted_weight_seconds = 0.0;
+  if (hoist_weights) {
+    KGFD_ASSIGN_OR_RETURN(hoisted_arms,
+                          compute_weights(&hoisted_weight_seconds));
   }
 
   std::unique_ptr<RelationTypeFilter> type_filter;
@@ -322,7 +404,7 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
   }
 
   // Per-relation outcomes with fixed slots so a thread pool can fill them
-  // in any order; each relation draws from its own seed-derived RNG stream,
+  // in any order; each relation draws from its own seed-derived RNG streams,
   // making the output identical whether the loop runs serially or
   // in parallel.
   struct RelationOutcome {
@@ -341,6 +423,27 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
   };
   std::vector<RelationOutcome> outcomes(relations.size());
 
+  // Algorithm 1's relation loop, one routine for every strategy. The
+  // relation's candidate budget is played out as a schedule of round plans,
+  // each running Generate → ScoreSides → Rank → Accept with one arm's
+  // weights:
+  //  - a fixed strategy is the single plan {round 0, arm 0, quota
+  //    max_candidates} on the relation's own RNG stream;
+  //  - ADAPTIVE takes its plans from a per-relation BanditScheduler, draws
+  //    each round from a round-specific stream (so a replayed prefix leaves
+  //    later rounds' streams untouched) and reports accepted facts per
+  //    candidate back. Rounds, not relations, are its checkpoint unit: each
+  //    finished live round fires on_round_complete, and a resumed run
+  //    replays the recorded rounds through the scheduler (verifying the arm
+  //    sequence) before playing the rest live.
+  // The SideScoreCache and the candidate dedup set live for the whole
+  // relation, so no (entity, relation) pair is scored twice and no triple
+  // is a candidate twice.
+  //
+  // Stop checkpoints (each evaluates the discovery.cancel failpoint once):
+  // the relation boundary, then per live round the round boundary (for a
+  // fixed strategy: post-weights), post-generation and pre-ranking.
+  // Replayed rounds evaluate none.
   auto process_relation = [&](size_t index) {
     const RelationId r = relations[index];
     RelationOutcome& out = outcomes[index];
@@ -350,173 +453,157 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
     // outcomes, which the resume layer has already persisted.
     out.status = FailPoints::Instance().Evaluate(kFailPointDiscoveryRelation);
     if (!out.status.ok()) return;
-    Rng rng(options.seed ^ (0x9E3779B97F4A7C15ULL *
-                            (static_cast<uint64_t>(r) + 1)));
+    const uint64_t relation_seed =
+        options.seed ^
+        (0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(r) + 1));
 
-    // Line 7: compute_weights(strategy) — inside the loop, as published
-    // (unless the caching ablation hoisted it above). Timed as its own
-    // phase, disjoint from generation.
-    const StrategyWeights* weights = hoisted_weights_ptr;
-    const AliasSampler* subject_sampler = hoisted_subject_ptr;
-    const AliasSampler* object_sampler = hoisted_object_ptr;
-    StrategyWeights local_weights;
-    AliasSampler local_subject_sampler;
-    AliasSampler local_object_sampler;
+    ArmSet relation_arms;
+    const ArmSet* arms = &hoisted_arms;
     if (!hoist_weights) {
-      ScopedSpan weight_span(metrics, kDiscoveryWeightsSpan);
-      auto weights_or = ComputeStrategyWeights(options.strategy, kg);
-      if (!weights_or.ok()) {
-        out.status = weights_or.status();
+      auto arms_or = compute_weights(&out.weight_seconds);
+      if (!arms_or.ok()) {
+        out.status = arms_or.status();
         return;
       }
-      local_weights = std::move(weights_or).value();
-      auto subject_or = AliasSampler::Build(local_weights.subject_weights);
-      auto object_or = AliasSampler::Build(local_weights.object_weights);
-      if (!subject_or.ok() || !object_or.ok()) {
-        out.status = subject_or.ok() ? object_or.status()
-                                     : subject_or.status();
-        return;
-      }
-      local_subject_sampler = std::move(subject_or).value();
-      local_object_sampler = std::move(object_or).value();
-      out.weight_seconds = weight_span.Stop();
-      weights = &local_weights;
-      subject_sampler = &local_subject_sampler;
-      object_sampler = &local_object_sampler;
+      relation_arms = std::move(arms_or).value();
+      arms = &relation_arms;
     }
 
-    if (checkpoint_stop()) return;  // post-weights checkpoint
-
-    // Lines 8-13: sample, mesh-grid, filter seen, until enough candidates.
-    ScopedSpan generation_span(metrics, kDiscoveryGenerationSpan);
-    std::vector<Triple> local_facts;
-    std::unordered_set<uint64_t> local_seen;
-    for (size_t iteration = 0;
-         iteration < options.max_iterations &&
-         local_facts.size() < options.max_candidates;
-         ++iteration) {
-      std::vector<EntityId> s_samples(sample_size);
-      std::vector<EntityId> o_samples(sample_size);
-      for (size_t i = 0; i < sample_size; ++i) {
-        s_samples[i] = weights->subject_pool[subject_sampler->Sample(&rng)];
-        o_samples[i] = weights->object_pool[object_sampler->Sample(&rng)];
-      }
-      for (EntityId s : s_samples) {
-        if (local_facts.size() >= options.max_candidates) break;
-        for (EntityId o : o_samples) {
-          if (local_facts.size() >= options.max_candidates) break;
-          const Triple t{s, r, o};
-          if (kg.Contains(t)) continue;  // line 12: filter seen triples
-          if (type_filter != nullptr && !type_filter->Admissible(t)) {
-            continue;
-          }
-          if (!local_seen.insert(PackTriple(t)).second) continue;
-          local_facts.push_back(t);
+    std::optional<BanditScheduler> scheduler;
+    const std::vector<AdaptiveRoundRecord>* restored = nullptr;
+    if (adaptive) {
+      BanditOptions bandit_options;
+      bandit_options.rounds = options.adaptive_rounds;
+      bandit_options.exploration = options.adaptive_exploration;
+      bandit_options.seed = relation_seed;
+      bandit_options.total_budget = options.max_candidates;
+      bandit_options.metrics = metrics;
+      scheduler.emplace(arm_strategies, bandit_options);
+      if (options.adaptive_resume != nullptr) {
+        auto it = options.adaptive_resume->rounds.find(r);
+        if (it != options.adaptive_resume->rounds.end()) {
+          restored = &it->second;
         }
       }
     }
-    // Defensive clamp: the break conditions above already stop at
-    // max_candidates, but the downstream rank-slot allocation sizes off this
-    // list, so enforce the invariant here too rather than trust loop
-    // structure at a distance.
-    if (local_facts.size() > options.max_candidates) {
-      local_facts.resize(options.max_candidates);
-    }
-    out.num_candidates = local_facts.size();
-    out.generation_seconds = generation_span.Stop();
 
-    if (checkpoint_stop()) return;  // post-generation checkpoint
-
-    // Lines 14-15: rank candidates against corruptions, keep rank <= top_n.
-    // The dominant phase: one ScoreObjects/ScoreSubjects pass per distinct
-    // (s, r) / (r, o) pair, each O(num_entities * dim). Both the scoring
-    // passes and the per-candidate rank computations are independent, so
-    // they fan out over `pool` (nested inside the per-relation loop, which
-    // TaskGroup-scoped waiting makes safe). Ranks land in fixed
-    // per-candidate slots and the top_n filter runs serially in candidate
-    // order, so the facts are bit-identical for every thread count.
-    ScopedSpan ranking_span(metrics, kDiscoveryRankingSpan);
-    const size_t n_cand = local_facts.size();
-    std::vector<SideScoreCache::Key> subject_keys;  // (s, r): object scores
-    std::vector<SideScoreCache::Key> object_keys;   // (o, r): subject scores
-    {
-      std::unordered_set<EntityId> seen_subjects;
-      std::unordered_set<EntityId> seen_objects;
-      for (const Triple& t : local_facts) {
-        if (seen_subjects.insert(t.subject).second) {
-          subject_keys.emplace_back(t.subject, r);
-        }
-        if (seen_objects.insert(t.object).second) {
-          object_keys.emplace_back(t.object, r);
-        }
-      }
-    }
     SideScoreCache score_cache;
-    score_cache.PrecomputeObjects(model, kg, subject_keys,
-                                  options.filtered_ranking, pool,
-                                  &run_cancel);
-    score_cache.PrecomputeSubjects(model, kg, object_keys,
-                                   options.filtered_ranking, pool,
-                                   &run_cancel);
-    // Pre-ranking checkpoint; also covers a stop during precompute, whose
-    // partially-built cache must never be dereferenced below.
-    if (checkpoint_stop()) return;
-    std::vector<double> subject_ranks(n_cand);
-    std::vector<double> object_ranks(n_cand);
-    ParallelFor(
-        pool, n_cand,
-        [&](size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            // Per-ranking-chunk granularity on the pool comes from
-            // ParallelFor's claim loop; this probe bounds the *serial*
-            // path (one body call covering all candidates) too. The
-            // relation is abandoned below, so bailing mid-chunk is safe.
-            if ((i & 63u) == 0 && fine_stop()) return;
-            const Triple& t = local_facts[i];
-            const SideScoreCache::Entry* obj_entry =
-                score_cache.FindObjects(t.subject, r);
-            object_ranks[i] = RankAgainstScores(obj_entry->scores, t.object,
-                                                &obj_entry->excluded);
-            const SideScoreCache::Entry* subj_entry =
-                score_cache.FindSubjects(r, t.object);
-            subject_ranks[i] = RankAgainstScores(subj_entry->scores,
-                                                 t.subject,
-                                                 &subj_entry->excluded);
-          }
-        },
-        // Kernel-block granularity: chunks sized in kQueryBlock multiples
-        // keep the per-chunk claim/dispatch overhead amortized over at
-        // least 64 candidates (per-candidate slivers were the PR2
-        // ranking_speedup regression) and line up with the cancel probe's
-        // 64-candidate stride above.
-        &run_cancel, kernels::kQueryBlock);
-    // A stop observed any time during ranking may have left rank slots
-    // unfilled — abandon the whole relation rather than emit partial facts.
-    if (fine_stop()) return;
-    for (size_t i = 0; i < n_cand; ++i) {
-      const double rank = Aggregate(options.rank_aggregation,
-                                    subject_ranks[i], object_ranks[i]);
-      if (rank <= static_cast<double>(options.top_n)) {
-        DiscoveredFact fact;
-        fact.triple = local_facts[i];
-        fact.rank = rank;
-        fact.subject_rank = subject_ranks[i];
-        fact.object_rank = object_ranks[i];
-        out.facts.push_back(fact);
+    std::unordered_set<uint64_t> candidate_seen;
+    size_t scored_candidates = 0;  // candidates ranked by live rounds
+    size_t scored_entries = 0;     // side-score entries those rounds computed
+    std::vector<double> subject_ranks;
+    std::vector<double> object_ranks;
+    for (size_t round = 0; adaptive ? !scheduler->Done() : round == 0;
+         ++round) {
+      const BanditScheduler::RoundPlan plan =
+          adaptive ? scheduler->NextRound()
+                   : BanditScheduler::RoundPlan{0, 0, options.max_candidates};
+      Rng rng(adaptive
+                  ? relation_seed ^ (0xD1B54A32D192ED03ULL *
+                                     (static_cast<uint64_t>(plan.round) + 1))
+                  : relation_seed);
+      auto generate = [&] {
+        return Generate(*(*arms)[plan.arm], r, plan.quota,
+                        options.max_iterations, kg, type_filter.get(), &rng,
+                        &candidate_seen);
+      };
+
+      if (restored != nullptr && plan.round < restored->size()) {
+        // Replay: feed the recorded outcome back so the scheduler re-derives
+        // the original allocation sequence, and merge the recorded facts
+        // without re-ranking anything. A manifest whose recorded arm diverges
+        // from the re-derived one was written by a different configuration
+        // than CheckManifestCompatible admitted — refuse rather than splice
+        // two different schedules.
+        const AdaptiveRoundRecord& rec = (*restored)[plan.round];
+        const std::string arm_name =
+            SamplingStrategyName(arm_strategies[plan.arm]);
+        if (rec.arm != arm_name) {
+          out.status = Status::Internal(
+              "resume manifest round " + std::to_string(plan.round) +
+              " of relation " + std::to_string(r) + " recorded arm " +
+              rec.arm + " but the scheduler re-derived " + arm_name +
+              "; the manifest does not match this run");
+          return;
+        }
+        // Regenerate (never re-rank) the replayed round's candidates so the
+        // dedup set evolves exactly as in the original run; later live
+        // rounds then draw the same fresh candidates they would have drawn
+        // uninterrupted. A count mismatch means the manifest was produced
+        // under different generation inputs than this run.
+        const size_t regenerated = generate().size();
+        if (regenerated != rec.num_candidates) {
+          out.status = Status::Internal(
+              "resume manifest round " + std::to_string(plan.round) +
+              " of relation " + std::to_string(r) + " recorded " +
+              std::to_string(rec.num_candidates) +
+              " candidates but regeneration produced " +
+              std::to_string(regenerated) +
+              "; the manifest does not match this run");
+          return;
+        }
+        scheduler->Report(plan, rec.num_candidates, rec.facts.size(),
+                          /*ranking_seconds=*/0.0);
+        out.facts.insert(out.facts.end(), rec.facts.begin(),
+                         rec.facts.end());
+        out.num_candidates += rec.num_candidates;
+        continue;  // replayed rounds never re-fire on_round_complete
+      }
+
+      if (checkpoint_stop()) return;  // round-boundary checkpoint
+
+      ScopedSpan generation_span(metrics, kDiscoveryGenerationSpan);
+      const std::vector<Triple> candidates = generate();
+      out.num_candidates += candidates.size();
+      scored_candidates += candidates.size();
+      out.generation_seconds += generation_span.Stop();
+
+      if (checkpoint_stop()) return;  // post-generation checkpoint
+
+      ScopedSpan ranking_span(metrics, kDiscoveryRankingSpan);
+      scored_entries +=
+          ScoreSides(model, kg, r, candidates, options.filtered_ranking, pool,
+                     &run_cancel, &score_cache);
+      // Pre-ranking checkpoint; also covers a stop during precompute, whose
+      // partially-built cache must never be dereferenced below.
+      if (checkpoint_stop()) return;
+      Rank(score_cache, r, candidates, pool, &run_cancel, fine_stop,
+           &subject_ranks, &object_ranks);
+      // A stop observed any time during ranking may have left rank slots
+      // unfilled — abandon the whole relation rather than emit partial facts.
+      if (fine_stop()) return;
+      const size_t first_fact = out.facts.size();
+      Accept(candidates, subject_ranks, object_ranks, options.rank_aggregation,
+             options.top_n, &out.facts);
+      const double ranking_seconds = ranking_span.Stop();
+      out.evaluation_seconds += ranking_seconds;
+
+      if (!adaptive) continue;
+      scheduler->Report(plan, candidates.size(),
+                        out.facts.size() - first_fact, ranking_seconds);
+      if (options.on_round_complete) {
+        AdaptiveRoundCompletion completion;
+        completion.relation = r;
+        completion.index = index;
+        completion.record.round = plan.round;
+        completion.record.arm = SamplingStrategyName(arm_strategies[plan.arm]);
+        completion.record.num_candidates = candidates.size();
+        completion.record.facts.assign(out.facts.begin() + first_fact,
+                                       out.facts.end());
+        options.on_round_complete(std::move(completion));
       }
     }
-    out.evaluation_seconds = ranking_span.Stop();
 
     if (metrics != nullptr) {
       candidates_counter->Increment(out.num_candidates);
       facts_counter->Increment(out.facts.size());
-      // Every candidate does one lookup per side; the first toucher of each
-      // distinct entry is the miss that paid for the scoring pass. Derived
-      // arithmetically so the numbers match the serial path exactly
-      // regardless of how the parallel precompute was scheduled.
-      const size_t unique_entries = subject_keys.size() + object_keys.size();
-      cache_misses_counter->Increment(unique_entries);
-      cache_hits_counter->Increment(2 * n_cand - unique_entries);
+      // Every scored candidate does one lookup per side; the first toucher
+      // of each distinct entry is the miss that paid for the scoring pass.
+      // Derived arithmetically so the numbers match the serial path exactly
+      // regardless of how the parallel precompute was scheduled. Replayed
+      // rounds scored nothing in this run and count neither.
+      cache_misses_counter->Increment(scored_entries);
+      cache_hits_counter->Increment(2 * scored_candidates - scored_entries);
       relations_counter->Increment();
     }
 
@@ -531,274 +618,10 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
     }
   };
 
-  // ADAPTIVE: the same relation contract (all-or-nothing outcome slot, own
-  // seed-derived RNG streams, bit-identical across thread counts), but the
-  // candidate budget is played out in bandit rounds. Each round samples with
-  // the granted arm's weights from a round-specific RNG stream, ranks only
-  // its own candidates, and feeds accepted-facts-per-candidate back into the
-  // scheduler; the relation's SideScoreCache persists across rounds so
-  // repeated (entity, relation) pairs never re-score. Rounds — not
-  // relations — are the checkpoint unit: each finished live round fires
-  // on_round_complete, and a resumed run replays the recorded rounds
-  // through the scheduler (verifying the arm sequence) before playing the
-  // rest live.
-  auto process_relation_adaptive = [&](size_t index) {
-    const RelationId r = relations[index];
-    RelationOutcome& out = outcomes[index];
-    if (checkpoint_stop()) return;  // relation-boundary checkpoint
-    out.status = FailPoints::Instance().Evaluate(kFailPointDiscoveryRelation);
-    if (!out.status.ok()) return;
-
-    const uint64_t relation_seed =
-        options.seed ^
-        (0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(r) + 1));
-
-    BanditOptions bandit_options;
-    bandit_options.rounds = options.adaptive_rounds;
-    bandit_options.exploration = options.adaptive_exploration;
-    bandit_options.seed = relation_seed;
-    bandit_options.total_budget = options.max_candidates;
-    bandit_options.metrics = metrics;
-    BanditScheduler scheduler(arm_strategies, bandit_options);
-
-    const std::vector<AdaptiveRoundRecord>* restored = nullptr;
-    if (options.adaptive_resume != nullptr) {
-      auto it = options.adaptive_resume->rounds.find(r);
-      if (it != options.adaptive_resume->rounds.end()) restored = &it->second;
-    }
-
-    SideScoreCache score_cache;  // shared by every round of this relation
-    std::unordered_set<uint64_t> fact_seen;  // cross-round dedup, first wins
-    size_t live_candidates = 0;   // candidates scored by live rounds
-    size_t unique_entries = 0;    // first-touch score entries, live rounds
-
-    // Candidate generation for one round. Deduplicates against every earlier
-    // round of this relation — the same whole-relation contract as the fixed
-    // path — so repeat draws from a favored arm keep producing fresh
-    // candidates instead of burning quota on triples an earlier round
-    // already ranked. The output (and the dedup set's evolution) is a pure
-    // function of (seed, relation, arm sequence), never of ranking results,
-    // which lets a resumed run rebuild the exact set state by regenerating
-    // replayed rounds without re-scoring them.
-    std::unordered_set<uint64_t> candidate_seen;
-    auto generate_round = [&](const BanditScheduler::RoundPlan& plan) {
-      Rng round_rng(relation_seed ^
-                    (0xD1B54A32D192ED03ULL *
-                     (static_cast<uint64_t>(plan.round) + 1)));
-      const size_t round_sample = MeshGridSampleSize(plan.quota);
-      std::vector<Triple> round_candidates;
-      for (size_t iteration = 0;
-           iteration < options.max_iterations &&
-           round_candidates.size() < plan.quota;
-           ++iteration) {
-        std::vector<EntityId> s_samples(round_sample);
-        std::vector<EntityId> o_samples(round_sample);
-        const ArmState& arm = arms[plan.arm];
-        for (size_t i = 0; i < round_sample; ++i) {
-          s_samples[i] =
-              arm.weights
-                  ->subject_pool[arm.subject_sampler->Sample(&round_rng)];
-          o_samples[i] =
-              arm.weights->object_pool[arm.object_sampler->Sample(&round_rng)];
-        }
-        for (EntityId s : s_samples) {
-          if (round_candidates.size() >= plan.quota) break;
-          for (EntityId o : o_samples) {
-            if (round_candidates.size() >= plan.quota) break;
-            const Triple t{s, r, o};
-            if (kg.Contains(t)) continue;
-            if (type_filter != nullptr && !type_filter->Admissible(t)) {
-              continue;
-            }
-            if (!candidate_seen.insert(PackTriple(t)).second) continue;
-            round_candidates.push_back(t);
-          }
-        }
-      }
-      if (round_candidates.size() > plan.quota) {
-        round_candidates.resize(plan.quota);
-      }
-      return round_candidates;
-    };
-
-    while (!scheduler.Done()) {
-      const BanditScheduler::RoundPlan plan = scheduler.NextRound();
-      const SamplingStrategy arm_strategy = arm_strategies[plan.arm];
-
-      if (restored != nullptr && plan.round < restored->size()) {
-        // Replay: feed the recorded outcome back so the scheduler re-derives
-        // the original allocation sequence, and merge the recorded facts
-        // without re-ranking anything. A manifest whose recorded arm diverges
-        // from the re-derived one was written by a different configuration
-        // than CheckManifestCompatible admitted — refuse rather than splice
-        // two different schedules.
-        const AdaptiveRoundRecord& rec = (*restored)[plan.round];
-        if (rec.arm != SamplingStrategyName(arm_strategy)) {
-          out.status = Status::Internal(
-              "resume manifest round " + std::to_string(plan.round) +
-              " of relation " + std::to_string(r) + " recorded arm " +
-              rec.arm + " but the scheduler re-derived " +
-              SamplingStrategyName(arm_strategy) +
-              "; the manifest does not match this run");
-          return;
-        }
-        // Regenerate (never re-rank) the replayed round's candidates so the
-        // cross-round dedup set evolves exactly as in the original run;
-        // later live rounds then draw the same fresh candidates they would
-        // have drawn uninterrupted. A count mismatch means the manifest was
-        // produced under different generation inputs than this run.
-        const std::vector<Triple> replayed = generate_round(plan);
-        if (replayed.size() != rec.num_candidates) {
-          out.status = Status::Internal(
-              "resume manifest round " + std::to_string(plan.round) +
-              " of relation " + std::to_string(r) + " recorded " +
-              std::to_string(rec.num_candidates) +
-              " candidates but regeneration produced " +
-              std::to_string(replayed.size()) +
-              "; the manifest does not match this run");
-          return;
-        }
-        scheduler.Report(plan, rec.num_candidates, rec.facts.size(),
-                         /*ranking_seconds=*/0.0);
-        for (const DiscoveredFact& fact : rec.facts) {
-          if (fact_seen.insert(PackTriple(fact.triple)).second) {
-            out.facts.push_back(fact);
-          }
-        }
-        out.num_candidates += rec.num_candidates;
-        continue;  // replayed rounds never re-fire on_round_complete
-      }
-
-      if (checkpoint_stop()) return;  // round-boundary checkpoint
-
-      // Generation, scoped to this round's quota. The round RNG stream is a
-      // pure function of (seed, relation, round), so a replayed prefix
-      // leaves later rounds' streams untouched.
-      ScopedSpan generation_span(metrics, kDiscoveryGenerationSpan);
-      const std::vector<Triple> round_candidates = generate_round(plan);
-      out.num_candidates += round_candidates.size();
-      live_candidates += round_candidates.size();
-      out.generation_seconds += generation_span.Stop();
-
-      if (checkpoint_stop()) return;  // post-generation checkpoint
-
-      // Ranking: identical mechanics to the fixed-strategy path, restricted
-      // to this round's candidates. Only keys the relation cache has never
-      // seen are precomputed.
-      ScopedSpan ranking_span(metrics, kDiscoveryRankingSpan);
-      const size_t n_cand = round_candidates.size();
-      std::vector<SideScoreCache::Key> need_subject_keys;
-      std::vector<SideScoreCache::Key> need_object_keys;
-      {
-        std::unordered_set<EntityId> seen_subjects;
-        std::unordered_set<EntityId> seen_objects;
-        for (const Triple& t : round_candidates) {
-          if (seen_subjects.insert(t.subject).second &&
-              score_cache.FindObjects(t.subject, r) == nullptr) {
-            need_subject_keys.emplace_back(t.subject, r);
-          }
-          if (seen_objects.insert(t.object).second &&
-              score_cache.FindSubjects(r, t.object) == nullptr) {
-            need_object_keys.emplace_back(t.object, r);
-          }
-        }
-      }
-      unique_entries += need_subject_keys.size() + need_object_keys.size();
-      score_cache.PrecomputeObjects(model, kg, need_subject_keys,
-                                    options.filtered_ranking, pool,
-                                    &run_cancel);
-      score_cache.PrecomputeSubjects(model, kg, need_object_keys,
-                                     options.filtered_ranking, pool,
-                                     &run_cancel);
-      if (checkpoint_stop()) return;  // pre-ranking / post-precompute
-      std::vector<double> subject_ranks(n_cand);
-      std::vector<double> object_ranks(n_cand);
-      ParallelFor(
-          pool, n_cand,
-          [&](size_t begin, size_t end) {
-            for (size_t i = begin; i < end; ++i) {
-              if ((i & 63u) == 0 && fine_stop()) return;
-              const Triple& t = round_candidates[i];
-              const SideScoreCache::Entry* obj_entry =
-                  score_cache.FindObjects(t.subject, r);
-              object_ranks[i] = RankAgainstScores(obj_entry->scores, t.object,
-                                                  &obj_entry->excluded);
-              const SideScoreCache::Entry* subj_entry =
-                  score_cache.FindSubjects(r, t.object);
-              subject_ranks[i] = RankAgainstScores(subj_entry->scores,
-                                                   t.subject,
-                                                   &subj_entry->excluded);
-            }
-          },
-          &run_cancel, kernels::kQueryBlock);
-      if (fine_stop()) return;  // rank slots may be partially filled
-      std::vector<DiscoveredFact> round_facts;
-      for (size_t i = 0; i < n_cand; ++i) {
-        const double rank = Aggregate(options.rank_aggregation,
-                                      subject_ranks[i], object_ranks[i]);
-        if (rank <= static_cast<double>(options.top_n)) {
-          DiscoveredFact fact;
-          fact.triple = round_candidates[i];
-          fact.rank = rank;
-          fact.subject_rank = subject_ranks[i];
-          fact.object_rank = object_ranks[i];
-          round_facts.push_back(fact);
-        }
-      }
-      const double ranking_seconds = ranking_span.Stop();
-      out.evaluation_seconds += ranking_seconds;
-
-      scheduler.Report(plan, round_candidates.size(), round_facts.size(),
-                       ranking_seconds);
-      for (const DiscoveredFact& fact : round_facts) {
-        if (fact_seen.insert(PackTriple(fact.triple)).second) {
-          out.facts.push_back(fact);
-        }
-      }
-
-      if (options.on_round_complete) {
-        AdaptiveRoundCompletion completion;
-        completion.relation = r;
-        completion.index = index;
-        completion.record.round = plan.round;
-        completion.record.arm = SamplingStrategyName(arm_strategy);
-        completion.record.num_candidates = round_candidates.size();
-        completion.record.facts = std::move(round_facts);
-        options.on_round_complete(std::move(completion));
-      }
-    }
-
-    if (metrics != nullptr) {
-      candidates_counter->Increment(out.num_candidates);
-      facts_counter->Increment(out.facts.size());
-      // Same derived arithmetic as the fixed path, over the live rounds
-      // only (replayed rounds did no scoring in this run).
-      cache_misses_counter->Increment(unique_entries);
-      cache_hits_counter->Increment(2 * live_candidates - unique_entries);
-      relations_counter->Increment();
-    }
-
-    out.completed = true;
-    if (options.on_relation_complete) {
-      RelationCompletion completion;
-      completion.relation = r;
-      completion.index = index;
-      completion.num_candidates = out.num_candidates;
-      completion.facts = out.facts;
-      options.on_relation_complete(std::move(completion));
-    }
-  };
-
   ParallelFor(
       pool, relations.size(),
       [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          if (adaptive) {
-            process_relation_adaptive(i);
-          } else {
-            process_relation(i);
-          }
-        }
+        for (size_t i = begin; i < end; ++i) process_relation(i);
       },
       &run_cancel);
   const auto final_reason =
@@ -806,8 +629,7 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
 
   DiscoveryResult result;
   result.stopped_reason = final_reason;
-  // Hoisted weight time belongs to the weight phase only; seeding
-  // generation_seconds with it (as this code once did) double-counted it.
+  // Hoisted weight time belongs to the weight phase only.
   result.stats.weight_seconds = hoisted_weight_seconds;
   for (RelationOutcome& out : outcomes) {
     KGFD_RETURN_NOT_OK(out.status);

@@ -71,20 +71,16 @@ class DiscoveryCache {
     AliasSampler object_sampler;
   };
 
-  /// Returns the cached entry for `strategy`, computing (weights + both
-  /// samplers) on first use. Concurrent callers for the same strategy
-  /// serialize on the first computation and then share one entry.
+  /// Returns the cached entry for `strategy`, computing it with
+  /// ComputeWeightsEntry on first use. Concurrent callers for the same
+  /// strategy serialize on the first computation and then share one entry.
+  /// MODEL_SCORE hits and misses are counted as discovery.sketch.*, every
+  /// other strategy as discovery.shared_weights.*. The MODEL_SCORE sketch
+  /// depends on `model` — exactly the pair this instance is keyed by
+  /// (HashModelParameters ⊕ KG fingerprint), so one instance never mixes
+  /// sketches of two models.
   Result<std::shared_ptr<const WeightsEntry>> GetOrComputeWeights(
-      SamplingStrategy strategy, const TripleStore& kg);
-
-  /// MODEL_SCORE counterpart: computes the score sketch (one probe-pass
-  /// sweep through the batch kernels, adaptive/score_sketch.h) on first use
-  /// and caches the resulting weights + samplers like any other strategy.
-  /// The sketch is a deterministic function of (model, KG) — exactly the
-  /// pair this cache instance is keyed by (HashModelParameters ⊕ KG
-  /// fingerprint), so one instance never mixes sketches of two models.
-  Result<std::shared_ptr<const WeightsEntry>> GetOrComputeModelScoreWeights(
-      const Model& model, const TripleStore& kg);
+      SamplingStrategy strategy, const Model& model, const TripleStore& kg);
 
   size_t num_weight_entries() const;
   uint64_t weights_hits() const { return weights_hits_n_; }
@@ -99,6 +95,12 @@ class DiscoveryCache {
   Counter* sketch_misses_ = nullptr;
   std::atomic<uint64_t> weights_hits_n_{0};
 };
+
+/// Algorithm 1 line 7 for any strategy: ComputeStrategyWeights output, or
+/// the MODEL_SCORE sketch (adaptive/score_sketch.h, one probe-pass sweep
+/// through the batch kernels), plus both alias samplers.
+Result<DiscoveryCache::WeightsEntry> ComputeWeightsEntry(
+    SamplingStrategy strategy, const Model& model, const TripleStore& kg);
 
 }  // namespace kgfd
 

@@ -54,10 +54,10 @@ TEST(DiscoveryCacheTest, WeightsComputedOnceAndShared) {
   DiscoveryCache cache(&metrics);
 
   auto first = cache.GetOrComputeWeights(SamplingStrategy::kEntityFrequency,
-                                         f.dataset.train());
+                                         *f.model, f.dataset.train());
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   auto second = cache.GetOrComputeWeights(SamplingStrategy::kEntityFrequency,
-                                          f.dataset.train());
+                                          *f.model, f.dataset.train());
   ASSERT_TRUE(second.ok());
   // Pointer equality: the second call must serve the SAME entry, not an
   // equal recomputation.
@@ -69,7 +69,7 @@ TEST(DiscoveryCacheTest, WeightsComputedOnceAndShared) {
 
   // A different strategy is a distinct entry.
   auto other = cache.GetOrComputeWeights(SamplingStrategy::kUniformRandom,
-                                         f.dataset.train());
+                                         *f.model, f.dataset.train());
   ASSERT_TRUE(other.ok());
   EXPECT_NE(other.value().get(), first.value().get());
   EXPECT_EQ(cache.num_weight_entries(), 2u);

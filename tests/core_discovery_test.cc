@@ -8,6 +8,7 @@
 
 #include <limits>
 
+#include "adaptive/scheduler.h"
 #include "kg/synthetic.h"
 #include "kge/trainer.h"
 #include "obs/metrics.h"
@@ -444,44 +445,77 @@ TEST(DiscoverFactsTest, FactsOrderedByRelationSlot) {
 }
 
 TEST(DiscoverFactsTest, PopulatesMetricsRegistry) {
+  // Every shape of the relation loop: fixed ENTITY_FREQUENCY and faithful
+  // CLUSTERING_TRIANGLES recompute weights per relation and run one round
+  // each; ADAPTIVE computes its arm set once and runs several rounds per
+  // relation.
   const Fixture& f = SharedFixture();
-  MetricsRegistry registry;
-  DiscoveryOptions o = SmallOptions(SamplingStrategy::kEntityFrequency);
-  o.metrics = &registry;
-  auto result = DiscoverFacts(*f.model, f.dataset.train(), o);
-  ASSERT_TRUE(result.ok());
-  const DiscoveryStats& stats = result.value().stats;
-  const MetricsSnapshot snapshot = registry.Snapshot();
+  for (SamplingStrategy strategy :
+       {SamplingStrategy::kEntityFrequency,
+        SamplingStrategy::kClusteringTriangles, SamplingStrategy::kAdaptive}) {
+    SCOPED_TRACE(SamplingStrategyName(strategy));
+    const bool adaptive = strategy == SamplingStrategy::kAdaptive;
+    MetricsRegistry registry;
+    DiscoveryOptions o = SmallOptions(strategy);
+    o.metrics = &registry;
+    size_t rounds_completed = 0;
+    o.on_round_complete = [&](AdaptiveRoundCompletion&&) {
+      ++rounds_completed;
+    };
+    auto result = DiscoverFacts(*f.model, f.dataset.train(), o);
+    ASSERT_TRUE(result.ok());
+    const DiscoveryStats& stats = result.value().stats;
+    const MetricsSnapshot snapshot = registry.Snapshot();
+    ASSERT_GT(stats.num_relations_processed, 0u);
 
-  // Counters line up with the returned stats.
-  ASSERT_EQ(snapshot.counters.count(kDiscoveryCandidatesCounter), 1u);
-  EXPECT_EQ(snapshot.counters.at(kDiscoveryCandidatesCounter),
-            stats.num_candidates);
-  EXPECT_EQ(snapshot.counters.at(kDiscoveryFactsCounter), stats.num_facts);
-  EXPECT_EQ(snapshot.counters.at(kDiscoveryRelationsCounter),
-            stats.num_relations_processed);
-  // Every candidate performs exactly one object-side and one subject-side
-  // score-cache lookup, each a hit or a miss.
-  EXPECT_EQ(snapshot.counters.at(kDiscoveryScoreCacheHits) +
-                snapshot.counters.at(kDiscoveryScoreCacheMisses),
-            2 * stats.num_candidates);
-  EXPECT_GT(snapshot.counters.at(kDiscoveryScoreCacheMisses), 0u);
+    // Counters line up with the returned stats.
+    ASSERT_EQ(snapshot.counters.count(kDiscoveryCandidatesCounter), 1u);
+    EXPECT_EQ(snapshot.counters.at(kDiscoveryCandidatesCounter),
+              stats.num_candidates);
+    EXPECT_EQ(snapshot.counters.at(kDiscoveryFactsCounter), stats.num_facts);
+    EXPECT_EQ(snapshot.counters.at(kDiscoveryRelationsCounter),
+              stats.num_relations_processed);
+    // Every candidate performs exactly one object-side and one subject-side
+    // score-cache lookup, each a hit or a miss.
+    EXPECT_EQ(snapshot.counters.at(kDiscoveryScoreCacheHits) +
+                  snapshot.counters.at(kDiscoveryScoreCacheMisses),
+              2 * stats.num_candidates);
+    EXPECT_GT(snapshot.counters.at(kDiscoveryScoreCacheMisses), 0u);
 
-  // One span per relation per phase, and the histogram totals equal the
-  // phase timings (same measured values, so no double counting).
-  for (const char* span : {kDiscoveryWeightsSpan, kDiscoveryGenerationSpan,
-                           kDiscoveryRankingSpan}) {
-    ASSERT_EQ(snapshot.histograms.count(span), 1u) << span;
-    EXPECT_EQ(snapshot.histograms.at(span).total,
-              stats.num_relations_processed)
-        << span;
+    // Generation and ranking record one span per round: one per relation
+    // for a fixed strategy, adaptive.rounds in total for ADAPTIVE. Weights
+    // record one span per relation when recomputed per relation, and one
+    // for ADAPTIVE's hoisted arm set. The histogram totals equal the phase
+    // timings (same measured values, so no double counting).
+    const uint64_t rounds =
+        adaptive ? snapshot.counters.at(kAdaptiveRoundsCounter)
+                 : stats.num_relations_processed;
+    if (adaptive) {
+      EXPECT_GT(rounds, stats.num_relations_processed);
+      EXPECT_EQ(rounds_completed, rounds);
+    } else {
+      EXPECT_EQ(rounds_completed, 0u);
+      for (const auto& [name, value] : snapshot.counters) {
+        EXPECT_NE(name.rfind("adaptive.", 0), 0u) << name;
+      }
+      for (const auto& [name, hist] : snapshot.histograms) {
+        EXPECT_NE(name.rfind("adaptive.", 0), 0u) << name;
+      }
+    }
+    for (const char* span : {kDiscoveryGenerationSpan, kDiscoveryRankingSpan}) {
+      ASSERT_EQ(snapshot.histograms.count(span), 1u) << span;
+      EXPECT_EQ(snapshot.histograms.at(span).total, rounds) << span;
+    }
+    ASSERT_EQ(snapshot.histograms.count(kDiscoveryWeightsSpan), 1u);
+    EXPECT_EQ(snapshot.histograms.at(kDiscoveryWeightsSpan).total,
+              adaptive ? 1u : stats.num_relations_processed);
+    EXPECT_NEAR(snapshot.histograms.at(kDiscoveryWeightsSpan).sum,
+                stats.weight_seconds, 1e-9);
+    EXPECT_NEAR(snapshot.histograms.at(kDiscoveryGenerationSpan).sum,
+                stats.generation_seconds, 1e-9);
+    EXPECT_NEAR(snapshot.histograms.at(kDiscoveryRankingSpan).sum,
+                stats.evaluation_seconds, 1e-9);
   }
-  EXPECT_NEAR(snapshot.histograms.at(kDiscoveryWeightsSpan).sum,
-              stats.weight_seconds, 1e-9);
-  EXPECT_NEAR(snapshot.histograms.at(kDiscoveryGenerationSpan).sum,
-              stats.generation_seconds, 1e-9);
-  EXPECT_NEAR(snapshot.histograms.at(kDiscoveryRankingSpan).sum,
-              stats.evaluation_seconds, 1e-9);
 }
 
 TEST(DiscoverFactsTest, CachedWeightsRecordOneWeightSpan) {
