@@ -14,7 +14,6 @@
 #include "graph/adjacency.h"
 #include "graph/metrics.h"
 #include "kge/evaluator.h"
-#include "kge/kernels.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "util/alias_sampler.h"
@@ -125,73 +124,116 @@ std::vector<Triple> Generate(const DiscoveryCache::WeightsEntry& arm,
   return candidates;
 }
 
-/// Precomputes the side scores `candidates` rank against: one
-/// ScoreObjects pass per distinct (s, r) and one ScoreSubjects pass per
-/// distinct (r, o), skipping entries `cache` holds from earlier rounds.
-/// Returns the number of entries it scored, i.e. the lookups that miss.
+/// A round's candidates grouped by one side-score key: key g is the entity
+/// `entities[g]`, and its candidates are `order[starts[g], starts[g + 1])`,
+/// in candidate order.
+struct KeyGroups {
+  std::vector<EntityId> entities;
+  std::vector<uint32_t> order;
+  std::vector<size_t> starts;
+};
+
+/// Groups `candidates` by their subject (object-side keys (s, r)) or by
+/// their object (subject-side keys (r, o)), as `side` selects.
+KeyGroups GroupByEntity(const std::vector<Triple>& candidates,
+                        EntityId Triple::*side) {
+  KeyGroups groups;
+  groups.order.resize(candidates.size());
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    groups.order[i] = static_cast<uint32_t>(i);
+  }
+  std::stable_sort(groups.order.begin(), groups.order.end(),
+                   [&](uint32_t a, uint32_t b) {
+                     return candidates[a].*side < candidates[b].*side;
+                   });
+  for (size_t i = 0; i < groups.order.size(); ++i) {
+    const EntityId e = candidates[groups.order[i]].*side;
+    if (groups.entities.empty() || groups.entities.back() != e) {
+      groups.entities.push_back(e);
+      groups.starts.push_back(i);
+    }
+  }
+  groups.starts.push_back(groups.order.size());
+  return groups;
+}
+
+/// Precomputes the side scores a round's candidates rank against: one
+/// ScoreObjects pass per object-side key (s, r) and one ScoreSubjects pass
+/// per subject-side key (r, o), skipping entries `cache` holds from earlier
+/// rounds. Returns the number of entries it scored, i.e. the lookups that
+/// miss.
 size_t ScoreSides(const Model& model, const TripleStore& kg, RelationId r,
-                  const std::vector<Triple>& candidates, bool filtered,
-                  ThreadPool* pool, const CancelContext* cancel,
-                  SideScoreCache* cache) {
+                  const KeyGroups& by_subject, const KeyGroups& by_object,
+                  bool filtered, ThreadPool* pool,
+                  const CancelContext* cancel, SideScoreCache* cache) {
   std::vector<SideScoreCache::Key> subject_keys;  // (s, r): object scores
   std::vector<SideScoreCache::Key> object_keys;   // (o, r): subject scores
-  std::unordered_set<EntityId> seen_subjects;
-  std::unordered_set<EntityId> seen_objects;
-  for (const Triple& t : candidates) {
-    if (seen_subjects.insert(t.subject).second &&
-        cache->FindObjects(t.subject, r) == nullptr) {
-      subject_keys.emplace_back(t.subject, r);
-    }
-    if (seen_objects.insert(t.object).second &&
-        cache->FindSubjects(r, t.object) == nullptr) {
-      object_keys.emplace_back(t.object, r);
-    }
+  for (EntityId s : by_subject.entities) {
+    if (cache->FindObjects(s, r) == nullptr) subject_keys.emplace_back(s, r);
+  }
+  for (EntityId o : by_object.entities) {
+    if (cache->FindSubjects(r, o) == nullptr) object_keys.emplace_back(o, r);
   }
   cache->PrecomputeObjects(model, kg, subject_keys, filtered, pool, cancel);
   cache->PrecomputeSubjects(model, kg, object_keys, filtered, pool, cancel);
   return subject_keys.size() + object_keys.size();
 }
 
+/// Side-score keys per ParallelFor grain. A few keys, not kQueryBlock: a
+/// key holds ~sqrt(max_candidates) candidates, so a relation has only
+/// ~2 sqrt(max_candidates) keys to spread over the pool.
+constexpr size_t kRankKeyGrain = 4;
+
 /// Lines 14-15, first half: each candidate's rank against its object-side
-/// and subject-side corruptions. The per-candidate computations are
-/// independent, so they fan out over `pool` (nested inside the relation
-/// loop, which TaskGroup-scoped waiting makes safe); ranks land in fixed
-/// per-candidate slots, so they are identical for every thread count.
-/// `stop` is the cheap in-loop probe; once it fires, slots may be left
-/// unfilled and the caller abandons the relation.
+/// and subject-side corruptions. The candidates sharing a side-score key
+/// (s, r) or (r, o) rank together in one pass over that entry
+/// (RankTargetsAgainstScores), so the pool fans out over the keys of both
+/// sides (nested inside the relation loop, which TaskGroup-scoped waiting
+/// makes safe). Ranks land in fixed per-candidate slots, so they are
+/// identical for every thread count. `stop` is the cheap in-loop probe,
+/// taken once per key; once it fires, slots may be left unfilled and the
+/// caller abandons the relation.
 template <typename StopProbe>
 void Rank(const SideScoreCache& cache, RelationId r,
-          const std::vector<Triple>& candidates, ThreadPool* pool,
+          const std::vector<Triple>& candidates, const KeyGroups& by_subject,
+          const KeyGroups& by_object, ThreadPool* pool,
           const CancelContext* cancel, const StopProbe& stop,
           std::vector<double>* subject_ranks,
           std::vector<double>* object_ranks) {
   subject_ranks->resize(candidates.size());
   object_ranks->resize(candidates.size());
-  double* const subject_slots = subject_ranks->data();
-  double* const object_slots = object_ranks->data();
+  // Object-side keys (s, r) rank objects; subject-side keys (r, o) rank
+  // subjects.
+  const size_t num_object_side = by_subject.entities.size();
   ParallelFor(
-      pool, candidates.size(),
+      pool, num_object_side + by_object.entities.size(),
       [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          // Per-ranking-chunk granularity on the pool comes from
-          // ParallelFor's claim loop; this probe bounds the *serial* path
-          // (one body call covering all candidates) too.
-          if ((i & 63u) == 0 && stop()) return;
-          const Triple& t = candidates[i];
-          const SideScoreCache::Entry* obj_entry =
-              cache.FindObjects(t.subject, r);
-          object_slots[i] = RankAgainstScores(obj_entry->scores, t.object,
-                                              &obj_entry->excluded);
-          const SideScoreCache::Entry* subj_entry =
-              cache.FindSubjects(r, t.object);
-          subject_slots[i] = RankAgainstScores(subj_entry->scores, t.subject,
-                                               &subj_entry->excluded);
+        std::vector<EntityId> targets;
+        std::vector<double> ranks;
+        for (size_t key = begin; key < end; ++key) {
+          if (stop()) return;
+          const bool object_side = key < num_object_side;
+          const KeyGroups& groups = object_side ? by_subject : by_object;
+          const size_t g = object_side ? key : key - num_object_side;
+          const uint32_t* members = groups.order.data() + groups.starts[g];
+          const size_t k = groups.starts[g + 1] - groups.starts[g];
+          const SideScoreCache::Entry* entry =
+              object_side ? cache.FindObjects(groups.entities[g], r)
+                          : cache.FindSubjects(r, groups.entities[g]);
+          targets.resize(k);
+          for (size_t j = 0; j < k; ++j) {
+            const Triple& t = candidates[members[j]];
+            targets[j] = object_side ? t.object : t.subject;
+          }
+          ranks.resize(k);
+          RankTargetsAgainstScores(entry->scores, &entry->excluded,
+                                   targets.data(), k, ranks.data());
+          double* const slots =
+              (object_side ? object_ranks : subject_ranks)->data();
+          for (size_t j = 0; j < k; ++j) slots[members[j]] = ranks[j];
         }
       },
-      // Kernel-block granularity: chunks sized in kQueryBlock multiples keep
-      // the per-chunk claim/dispatch overhead amortized over at least 64
-      // candidates and line up with the stop probe's 64-candidate stride.
-      cancel, kernels::kQueryBlock);
+      cancel, kRankKeyGrain);
 }
 
 /// Lines 14-15, second half: appends the candidates whose aggregated rank
@@ -560,21 +602,29 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
 
       if (checkpoint_stop()) return;  // post-generation checkpoint
 
+      // The ranking span holds two disjoint sub-spans: side-score scoring,
+      // then rank counting + acceptance.
       ScopedSpan ranking_span(metrics, kDiscoveryRankingSpan);
-      scored_entries +=
-          ScoreSides(model, kg, r, candidates, options.filtered_ranking, pool,
-                     &run_cancel, &score_cache);
+      ScopedSpan score_span(metrics, kDiscoveryScoreSpan);
+      const KeyGroups by_subject = GroupByEntity(candidates, &Triple::subject);
+      const KeyGroups by_object = GroupByEntity(candidates, &Triple::object);
+      scored_entries += ScoreSides(model, kg, r, by_subject, by_object,
+                                   options.filtered_ranking, pool, &run_cancel,
+                                   &score_cache);
+      score_span.Stop();
       // Pre-ranking checkpoint; also covers a stop during precompute, whose
       // partially-built cache must never be dereferenced below.
       if (checkpoint_stop()) return;
-      Rank(score_cache, r, candidates, pool, &run_cancel, fine_stop,
-           &subject_ranks, &object_ranks);
+      ScopedSpan rank_span(metrics, kDiscoveryRankSpan);
+      Rank(score_cache, r, candidates, by_subject, by_object, pool,
+           &run_cancel, fine_stop, &subject_ranks, &object_ranks);
       // A stop observed any time during ranking may have left rank slots
       // unfilled — abandon the whole relation rather than emit partial facts.
       if (fine_stop()) return;
       const size_t first_fact = out.facts.size();
       Accept(candidates, subject_ranks, object_ranks, options.rank_aggregation,
              options.top_n, &out.facts);
+      rank_span.Stop();
       const double ranking_seconds = ranking_span.Stop();
       out.evaluation_seconds += ranking_seconds;
 

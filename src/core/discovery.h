@@ -20,13 +20,19 @@ class DiscoveryCache;
 class MetricsRegistry;
 
 /// Metric names DiscoverFacts populates when DiscoveryOptions::metrics is
-/// set (see src/obs/). The three span histograms partition the per-relation
-/// work into disjoint phases, so their sums line up with the corresponding
-/// DiscoveryStats fields.
+/// set (see src/obs/). The weights, generation and ranking span histograms
+/// partition the per-relation work into disjoint phases, so their sums line
+/// up with the corresponding DiscoveryStats fields.
 inline constexpr char kDiscoveryWeightsSpan[] = "discovery.weights.seconds";
 inline constexpr char kDiscoveryGenerationSpan[] =
     "discovery.generation.seconds";
 inline constexpr char kDiscoveryRankingSpan[] = "discovery.ranking.seconds";
+/// Sub-spans of kDiscoveryRankingSpan, recorded once per round: scoring the
+/// round's side-score keys, then ranking its candidates against them and
+/// accepting the facts. They are disjoint, so their sum is at most the
+/// ranking span's.
+inline constexpr char kDiscoveryScoreSpan[] = "discovery.score.seconds";
+inline constexpr char kDiscoveryRankSpan[] = "discovery.rank.seconds";
 inline constexpr char kDiscoveryCandidatesCounter[] =
     "discovery.candidates.generated";
 inline constexpr char kDiscoveryFactsCounter[] = "discovery.facts.kept";

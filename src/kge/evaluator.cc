@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -29,6 +30,31 @@ LinkPredictionMetrics MetricsFromRanks(const std::vector<double>& ranks) {
   return m;
 }
 
+namespace {
+
+/// The mid-tie rank both ranking routines return, from the same integers.
+double MidRank(size_t greater, size_t ties) {
+  return 1.0 + static_cast<double>(greater) + static_cast<double>(ties) / 2.0;
+}
+
+/// Number of entries of the ascending, NaN-free `bounds[0, m)` that are
+/// <= `value`, without data-dependent branches: the loop runs
+/// ceil(log2 m) times whatever the value, so it pipelines across
+/// competitors.
+size_t UpperBound(const double* bounds, size_t m, double value) {
+  if (m == 0) return 0;
+  const double* base = bounds;
+  size_t n = m;
+  while (n > 1) {
+    const size_t half = n / 2;
+    base = base[half] <= value ? base + half : base;
+    n -= half;
+  }
+  return static_cast<size_t>(base - bounds) + (*base <= value ? 1 : 0);
+}
+
+}  // namespace
+
 double RankAgainstScores(const std::vector<double>& scores, size_t target,
                          const std::vector<char>* excluded) {
   const double target_score = scores[target];
@@ -47,8 +73,7 @@ double RankAgainstScores(const std::vector<double>& scores, size_t target,
         ++greater;
       }
     }
-    return 1.0 + static_cast<double>(greater) +
-           static_cast<double>(ties) / 2.0;
+    return MidRank(greater, ties);
   }
   for (size_t i = 0; i < scores.size(); ++i) {
     if (i == target) continue;
@@ -59,8 +84,74 @@ double RankAgainstScores(const std::vector<double>& scores, size_t target,
       ++ties;
     }
   }
-  return 1.0 + static_cast<double>(greater) +
-         static_cast<double>(ties) / 2.0;
+  return MidRank(greater, ties);
+}
+
+void RankTargetsAgainstScores(const std::vector<double>& scores,
+                              const std::vector<char>* excluded,
+                              const EntityId* targets, size_t k, double* out) {
+  if (k == 0) return;
+  if (k == 1) {
+    out[0] = RankAgainstScores(scores, targets[0], excluded);
+    return;
+  }
+  // 1. The distinct non-NaN target scores, ascending, behind a NaN
+  //    sentinel at index 0 that compares equal to no competitor. ±0.0 are
+  //    one value, as they are to the counting loop's ==.
+  std::vector<double> bounds;
+  bounds.reserve(k + 1);
+  bounds.push_back(std::numeric_limits<double>::quiet_NaN());
+  for (size_t j = 0; j < k; ++j) {
+    const double s = scores[targets[j]];
+    if (!std::isnan(s)) bounds.push_back(s);
+  }
+  std::sort(bounds.begin() + 1, bounds.end());
+  bounds.erase(std::unique(bounds.begin() + 1, bounds.end()), bounds.end());
+  const double* const distinct = bounds.data() + 1;
+  const size_t m = bounds.size() - 1;
+
+  // 2. One pass over the competitors. A non-NaN competitor c lands in bin
+  //    p = |{distinct <= c}|, so it beats exactly distinct[0, p) except
+  //    distinct[p - 1] when equal to it, which it ties instead. NaN
+  //    competitors are only counted: they never beat or tie a non-NaN
+  //    target. Every index is a competitor here, targets included; step 4
+  //    takes each target back out of its own counts.
+  std::vector<size_t> at_least(m + 1, 0);  // bin sizes, then suffix sums
+  std::vector<size_t> equal(m + 1, 0);     // equal[p]: c == distinct[p - 1]
+  size_t nan_competitors = 0;
+  for (size_t i = 0; i < scores.size(); ++i) {
+    if (excluded != nullptr && (*excluded)[i] != 0) continue;
+    const double c = scores[i];
+    if (std::isnan(c)) {
+      ++nan_competitors;
+      continue;
+    }
+    const size_t p = UpperBound(distinct, m, c);
+    ++at_least[p];
+    equal[p] += bounds[p] == c ? 1 : 0;
+  }
+
+  // 3. at_least[p] becomes the number of non-NaN competitors >= distinct[p-1]
+  //    (at_least[0]: all of them).
+  for (size_t p = m; p > 0; --p) at_least[p - 1] += at_least[p];
+
+  // 4. Each target's greater/tie counts, less its own entry when that was
+  //    counted (i.e. not excluded): the counting loop skips i == target.
+  for (size_t j = 0; j < k; ++j) {
+    const double s = scores[targets[j]];
+    const size_t self =
+        excluded == nullptr || (*excluded)[targets[j]] == 0 ? 1 : 0;
+    if (std::isnan(s)) {
+      // Ranks last: beaten by every non-NaN competitor, ties the NaNs.
+      out[j] = MidRank(at_least[0], nan_competitors - self);
+      continue;
+    }
+    const size_t p =
+        static_cast<size_t>(std::lower_bound(distinct, distinct + m, s) -
+                            distinct) +
+        1;
+    out[j] = MidRank(at_least[p] - equal[p], equal[p] - self);
+  }
 }
 
 namespace {

@@ -33,6 +33,18 @@ LinkPredictionMetrics MetricsFromRanks(const std::vector<double>& ranks);
 double RankAgainstScores(const std::vector<double>& scores, size_t target,
                          const std::vector<char>* excluded);
 
+/// Ranks `k` targets against one score vector in a single pass over it:
+/// `out[j]` is bit-identical to RankAgainstScores(scores, targets[j],
+/// excluded), NaN, ±Inf, ±0.0, duplicate and excluded targets included.
+/// The target scores are sorted and deduplicated once; every non-excluded
+/// competitor is then binned by upper_bound among them, with exact-equal
+/// counts per bin, and suffix sums over the bins give each target the same
+/// greater/tie integers the counting loop would. O(|E| log k + k log k)
+/// instead of O(|E| k); k == 1 is RankAgainstScores itself.
+void RankTargetsAgainstScores(const std::vector<double>& scores,
+                              const std::vector<char>* excluded,
+                              const EntityId* targets, size_t k, double* out);
+
 class MetricsRegistry;
 
 /// Metric names EvaluateLinkPrediction populates when EvalConfig::metrics

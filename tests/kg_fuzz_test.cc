@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <set>
@@ -111,8 +113,13 @@ INSTANTIATE_TEST_SUITE_P(
 class TsvParserFuzzTest : public ::testing::Test {
  protected:
   Result<std::vector<Triple>> Parse(const std::string& content) {
+    // Keyed by test name + pid: ctest runs each test in its own process,
+    // concurrently, and a shared file name lets one test parse another's
+    // input.
     const std::string path =
-        ::testing::TempDir() + "/tsv_fuzz_input.tsv";
+        ::testing::TempDir() + "/tsv_fuzz_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        "_" + std::to_string(::getpid()) + ".tsv";
     {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
       out.write(content.data(),
@@ -120,7 +127,9 @@ class TsvParserFuzzTest : public ::testing::Test {
     }
     entities_ = Vocabulary();
     relations_ = Vocabulary();
-    return ReadTriplesTsv(path, &entities_, &relations_);
+    auto parsed = ReadTriplesTsv(path, &entities_, &relations_);
+    std::remove(path.c_str());
+    return parsed;
   }
 
   Vocabulary entities_;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "kge/trainer.h"
@@ -94,6 +97,137 @@ TEST(RankAgainstScoresTest, NanTargetRespectsExclusion) {
   EXPECT_DOUBLE_EQ(RankAgainstScores(scores, 1, &excluded), 3.0);
   // Nothing excluded: 3 greater + 1 NaN tie = 4.5.
   EXPECT_DOUBLE_EQ(RankAgainstScores(scores, 1, nullptr), 4.5);
+}
+
+// --- RankTargetsAgainstScores: differential test against the counting
+// loop. Every batched rank must be the same double, bit for bit, as
+// RankAgainstScores gives for that target alone.
+
+/// Expects RankTargetsAgainstScores(scores, excluded, targets) to equal
+/// per-target RankAgainstScores bit for bit.
+void ExpectBatchedMatchesCounting(const std::vector<double>& scores,
+                                  const std::vector<char>* excluded,
+                                  const std::vector<EntityId>& targets,
+                                  const std::string& label) {
+  std::vector<double> batched(targets.size(), -1.0);
+  RankTargetsAgainstScores(scores, excluded, targets.data(), targets.size(),
+                           batched.data());
+  for (size_t j = 0; j < targets.size(); ++j) {
+    const double counted = RankAgainstScores(scores, targets[j], excluded);
+    EXPECT_EQ(std::memcmp(&batched[j], &counted, sizeof(double)), 0)
+        << label << ": target " << j << " (entity " << targets[j]
+        << ", score " << scores[targets[j]] << ") batched " << batched[j]
+        << " vs counted " << counted;
+  }
+}
+
+/// `k` distinct entities of [0, n), in random order.
+std::vector<EntityId> DistinctTargets(size_t n, size_t k, Rng* rng) {
+  std::vector<EntityId> all(n);
+  for (size_t i = 0; i < n; ++i) all[i] = static_cast<EntityId>(i);
+  rng->Shuffle(&all);
+  all.resize(k);
+  return all;
+}
+
+/// The score distributions the differential test draws from.
+enum class ScoreShape { kRandom, kTied, kSpecial };
+
+std::vector<double> DrawScores(ScoreShape shape, size_t n, Rng* rng) {
+  const double special[] = {kNaN,
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(),
+                            0.0,
+                            -0.0,
+                            1.0,
+                            -1.0};
+  std::vector<double> scores(n);
+  for (double& s : scores) {
+    switch (shape) {
+      case ScoreShape::kRandom:
+        s = rng->Normal(0.0, 3.0);
+        break;
+      case ScoreShape::kTied:
+        // A handful of distinct values, so most targets tie many others.
+        s = std::round(rng->Normal(0.0, 2.0) * 2.0) / 2.0;
+        break;
+      case ScoreShape::kSpecial:
+        // A third NaN/±Inf/±0.0/±1, the rest rounded, so the specials meet
+        // each other and ordinary values on both sides of every comparison.
+        s = rng->Bernoulli(0.35) ? special[rng->UniformInt(7)]
+                                 : std::round(rng->Normal(0.0, 2.0));
+        break;
+    }
+  }
+  return scores;
+}
+
+TEST(RankTargetsAgainstScoresTest, MatchesCountingLoopBitForBit) {
+  constexpr size_t kEntities = 1454;
+  Rng rng(20240);
+  for (ScoreShape shape :
+       {ScoreShape::kRandom, ScoreShape::kTied, ScoreShape::kSpecial}) {
+    for (size_t k : {1u, 2u, 7u, 40u, 200u}) {
+      for (int trial = 0; trial < 3; ++trial) {
+        const std::string label = "shape " +
+                                  std::to_string(static_cast<int>(shape)) +
+                                  " k " + std::to_string(k) + " trial " +
+                                  std::to_string(trial);
+        const std::vector<double> scores = DrawScores(shape, kEntities, &rng);
+        const std::vector<EntityId> targets =
+            DistinctTargets(kEntities, k, &rng);
+
+        // No mask, a sparse (2%) mask and a 90%-excluded mask.
+        ExpectBatchedMatchesCounting(scores, nullptr, targets,
+                                     label + " unmasked");
+        for (double rate : {0.02, 0.9}) {
+          std::vector<char> excluded(kEntities);
+          for (char& e : excluded) e = rng.Bernoulli(rate) ? 1 : 0;
+          ExpectBatchedMatchesCounting(scores, &excluded, targets,
+                                       label + " excluded " +
+                                           std::to_string(rate));
+        }
+
+        // Excluded targets: half of them masked out of their own pool (a
+        // target known true elsewhere), besides a 2% mask on the rest.
+        std::vector<char> excluded(kEntities);
+        for (char& e : excluded) e = rng.Bernoulli(0.02) ? 1 : 0;
+        for (size_t j = 0; j < targets.size(); j += 2) {
+          excluded[targets[j]] = 1;
+        }
+        ExpectBatchedMatchesCounting(scores, &excluded, targets,
+                                     label + " excluded targets");
+
+        // Repeated targets rank like separate counting calls.
+        std::vector<EntityId> repeated = targets;
+        repeated.insert(repeated.end(), targets.begin(),
+                        targets.begin() + static_cast<long>((k + 1) / 2));
+        ExpectBatchedMatchesCounting(scores, &excluded, repeated,
+                                     label + " repeated targets");
+      }
+    }
+  }
+}
+
+TEST(RankTargetsAgainstScoresTest, SpecialValuesByHand) {
+  const double inf = std::numeric_limits<double>::infinity();
+  // Entities: 0:NaN 1:+Inf 2:-0.0 3:+0.0 4:-Inf 5:NaN 6:1.0
+  const std::vector<double> scores = {kNaN, inf, -0.0, 0.0, -inf, kNaN, 1.0};
+  const std::vector<EntityId> targets = {0, 1, 2, 3, 4, 5, 6};
+  std::vector<double> ranks(targets.size());
+  RankTargetsAgainstScores(scores, nullptr, targets.data(), targets.size(),
+                           ranks.data());
+  EXPECT_EQ(ranks[0], 1.0 + 5.0 + 0.5);  // NaN: 5 non-NaN beat it, 1 tie
+  EXPECT_EQ(ranks[1], 1.0);              // +Inf beats everything
+  EXPECT_EQ(ranks[2], 1.0 + 2.0 + 0.5);  // -0.0 ties +0.0
+  EXPECT_EQ(ranks[3], 1.0 + 2.0 + 0.5);
+  EXPECT_EQ(ranks[4], 1.0 + 4.0);        // -Inf: last of the non-NaNs
+  EXPECT_EQ(ranks[5], ranks[0]);
+  EXPECT_EQ(ranks[6], 2.0);
+  // Nothing to rank: nothing written.
+  double untouched = -1.0;
+  RankTargetsAgainstScores(scores, nullptr, targets.data(), 0, &untouched);
+  EXPECT_EQ(untouched, -1.0);
 }
 
 /// A deterministic stub model whose score is a fixed function of ids, for
